@@ -4,14 +4,9 @@
 // constructive layers once.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
-#include "base/thread_pool.h"
 #include "bench_util.h"
 #include "core/engine.h"
 #include "core/programs.h"
-#include "storage/catalog.h"
-#include "storage/database.h"
 
 namespace {
 
@@ -33,27 +28,6 @@ eval::EvalOutcome RunProgram(const char* program, const char* fact_pred,
   eval::EvalOutcome outcome = engine.Evaluate(options);
   if (!outcome.status.ok()) std::abort();
   return outcome;
-}
-
-/// Builds `num_sources` scratch databases with heavily overlapping rows
-/// — the shape FireTask emits at a round barrier (every worker derives
-/// much of the same delta).
-std::vector<std::unique_ptr<Database>> MakeMergeSources(
-    Catalog* catalog, size_t num_sources, size_t rows_per_source) {
-  PredId p = catalog->GetOrCreate("p", 2).value();
-  PredId q = catalog->GetOrCreate("q", 3).value();
-  std::vector<std::unique_ptr<Database>> sources;
-  for (size_t src = 0; src < num_sources; ++src) {
-    auto db = std::make_unique<Database>(catalog);
-    for (size_t i = 0; i < rows_per_source; ++i) {
-      // ~50% overlap with the neighbouring source.
-      SeqId v = static_cast<SeqId>(i + src * rows_per_source / 2);
-      db->Insert(p, std::vector<SeqId>{v * 7 + 1, v});
-      db->Insert(q, std::vector<SeqId>{v, v * 3 + 1, v + 2});
-    }
-    sources.push_back(std::move(db));
-  }
-  return sources;
 }
 
 void PrintTable() {
@@ -99,82 +73,6 @@ void PrintTable() {
   }
 }
 
-void PrintMergeTable() {
-  std::printf("\nround-barrier merge: flat/serial vs shard-parallel"
-              " (Database::MergeFromAll)\n");
-  std::printf("%-10s %-12s %-12s %-10s\n", "pool", "row-merge ms",
-              "new rows", "speedup");
-  double serial_millis = 0;
-  size_t serial_rows = 0;
-  for (size_t threads : {0u, 2u, 8u}) {
-    Catalog catalog;
-    std::vector<std::unique_ptr<Database>> scratches =
-        MakeMergeSources(&catalog, 8, 4000);
-    std::vector<const Database*> sources;
-    for (const auto& db : scratches) sources.push_back(db.get());
-    std::unique_ptr<ThreadPool> pool =
-        threads > 0 ? std::make_unique<ThreadPool>(threads) : nullptr;
-    Database target(&catalog);
-    size_t merged = 0;
-    double row_millis = 0;
-    Status s = target.MergeFromAll(
-        sources, pool.get(),
-        [&merged](PredId, TupleView, size_t) {
-          ++merged;
-          return Status::Ok();
-        },
-        &row_millis);
-    if (!s.ok()) std::abort();
-    if (threads == 0) {
-      serial_millis = row_millis;
-      serial_rows = merged;
-    } else if (merged != serial_rows) {
-      std::printf("MERGE MISMATCH at %zu threads!\n", threads);
-      std::abort();
-    }
-    std::printf("%-10zu %-12.2f %-12zu %-10.2f\n", threads, row_millis,
-                merged, row_millis > 0 ? serial_millis / row_millis : 0.0);
-  }
-  std::printf("(identical callback streams at every width; speedup is the"
-              " row-merge phase only — commit and domain closure stay"
-              " serial)\n");
-}
-
-/// Round-barrier ablation: the same multi-source merge run through
-/// Database::MergeFromAll serially (pool=nullptr — the flat relation's
-/// single-writer cost) and shard-parallel (one writer per shard over
-/// the pool). Models are identical by contract; only the row-merge
-/// phase moves. Arg is the pool width (0 = serial).
-void BM_MergeBarrier(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  Catalog catalog;
-  std::vector<std::unique_ptr<Database>> scratches =
-      MakeMergeSources(&catalog, 8, 4000);
-  std::vector<const Database*> sources;
-  for (const auto& db : scratches) sources.push_back(db.get());
-  std::unique_ptr<ThreadPool> pool =
-      threads > 0 ? std::make_unique<ThreadPool>(threads) : nullptr;
-  size_t merged = 0;
-  double row_millis = 0;
-  for (auto _ : state) {
-    Database target(&catalog);
-    merged = 0;
-    Status s = target.MergeFromAll(
-        sources, pool.get(),
-        [&merged](PredId, TupleView, size_t) {
-          ++merged;
-          return Status::Ok();
-        },
-        &row_millis);
-    if (!s.ok()) std::abort();
-    benchmark::DoNotOptimize(target.TotalFacts());
-  }
-  state.counters["new_rows"] = static_cast<double>(merged);
-  state.counters["row_merge_ms_total"] = row_millis;
-}
-BENCHMARK(BM_MergeBarrier)->Arg(0)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Strategy(benchmark::State& state) {
   eval::Strategy strategy = static_cast<eval::Strategy>(state.range(0));
   std::vector<std::string> seqs = bench::RandomSequences(44, 5, 9, "abc");
@@ -193,7 +91,6 @@ BENCHMARK(BM_Strategy)
 
 int main(int argc, char** argv) {
   PrintTable();
-  PrintMergeTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

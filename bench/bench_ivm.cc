@@ -14,7 +14,7 @@
 //
 // JSON rows: BM_GenomeColdEvaluate/B vs BM_GenomeIncrementalApply/B
 // carry the per-batch latency at each size, so the >=10x criterion is
-// checkable straight from BENCH_pr8.json.
+// checkable straight from the JSON report.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

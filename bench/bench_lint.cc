@@ -3,7 +3,7 @@
 // the text-index program. Engine::LoadProgram runs the linter
 // unconditionally, so its wall-clock sits on the load/prepare path of
 // every embedding; this bench keeps that cost visible in the perf
-// trajectory (BENCH_pr6.json). The shape to reproduce: linting is pure
+// trajectory (bench/run_benches.sh). The shape to reproduce: linting is pure
 // static analysis — independent of data size, well under a millisecond
 // per program.
 #include <benchmark/benchmark.h>

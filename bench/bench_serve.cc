@@ -15,7 +15,7 @@
 //
 // JSON rows: BM_GenomeSingles32 vs BM_GenomeBatch32 carry
 // items_per_second, so the >=3x criterion is checkable straight from
-// BENCH_pr7.json; BM_ServeExecRoundtrip / BM_ServeBatch32Roundtrip are
+// the JSON report; BM_ServeExecRoundtrip / BM_ServeBatch32Roundtrip are
 // the loopback latencies.
 #include <benchmark/benchmark.h>
 

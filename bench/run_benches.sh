@@ -1,28 +1,27 @@
 #!/usr/bin/env bash
 #
 # Runs every seqlog bench binary and aggregates their google-benchmark JSON
-# reports into one trajectory file (default: BENCH_pr10.json at the repo
-# root; BENCH_seed.json was the seed-state run, BENCH_pr4..pr9.json the
-# earlier PR runs). Each binary first prints its paper-reproduction
-# table; those tables are kept out of the JSON by sending the report
-# through --benchmark_out. The aggregate includes the
-# bench_parallel_eval thread-scaling series, the bench_lint linter-cost
-# series, the bench_serve batch-amortisation rows (PR7), the bench_ivm
-# incremental-vs-cold maintenance rows (PR8), and a "loadgen" section of
+# reports into one file (default: bench_results.json in the build
+# directory). Each binary first prints its paper-reproduction table;
+# those tables are kept out of the JSON by sending the report through
+# --benchmark_out. The aggregate includes the bench_lint linter-cost
+# series, the bench_serve batch-amortisation rows, the bench_ivm
+# incremental-vs-cold maintenance rows, and a "loadgen" section of
 # closed-loop serving measurements: seqlog-serve is started on an
 # ephemeral loopback port and seqlog-loadgen drives the text-index and
-# genome workloads in exec, batch, and (PR8) mixed read/write mode —
-# the mixed rows carry separate read_*/write_* percentiles so read-path
-# latency under a live write stream is checkable from the JSON
+# genome workloads in exec, batch, and mixed read/write mode — the mixed
+# rows carry separate read_*/write_* percentiles so read-path latency
+# under a live write stream is checkable from the JSON
 # (tools/seqlog_loadgen.cc). The loadgen section is skipped with a note
-# when the tools are not built. PR10 adds the bench_transducer_compile
-# rows (compiled/fused vs interpreted transducer networks); that binary
-# enforces its >= 3x fused-speedup bar in-process and fails the run
-# when missed.
+# when the tools are not built. bench_transducer_compile enforces its
+# >= 3x fused-speedup bar in-process and fails the run when missed.
+#
+# One run is one repetition on one host: compare numbers only against a
+# run of the parent commit taken back to back on the same machine.
 #
 # Usage: bench/run_benches.sh [BUILD_DIR] [OUT_JSON]
 #   BUILD_DIR  cmake build directory containing bench/ (default: build)
-#   OUT_JSON   aggregate output path (default: BENCH_pr10.json)
+#   OUT_JSON   aggregate output path (default: BUILD_DIR/bench_results.json)
 #
 # Environment:
 #   SEQLOG_BENCH_MIN_TIME  --benchmark_min_time per benchmark (default 0.05)
@@ -31,7 +30,7 @@ set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
-OUT_JSON="${2:-$REPO_ROOT/BENCH_pr10.json}"
+OUT_JSON="${2:-$BUILD_DIR/bench_results.json}"
 MIN_TIME="${SEQLOG_BENCH_MIN_TIME:-0.05}"
 
 BENCH_DIR="$BUILD_DIR/bench"

@@ -58,7 +58,6 @@ constexpr char kHelp[] = R"(seqlog shell commands
                           goal also checks reachability/bindability
   :dot                    dependency graph in Graphviz format (Figure 3)
   :limits <iters> <facts> set evaluation budgets
-  :threads <n>            evaluation threads (0 = one per core, 1 = serial)
   :stats                  time split of the last :run (firing vs closure)
   :serve-stats <host> <p> counters of a running seqlog-serve (STATS verb)
   :load <file>            append rules from a file
@@ -209,19 +208,6 @@ class Shell {
       in >> limits_.max_iterations >> limits_.max_facts;
       std::cout << "budgets: " << limits_.max_iterations << " iterations, "
                 << limits_.max_facts << " facts\n";
-    } else if (cmd == ":threads") {
-      size_t n = 0;
-      if (!(in >> n)) {
-        std::cout << "? usage: :threads <n>  (0 = one per core)\n";
-        return true;
-      }
-      num_threads_ = n;
-      if (num_threads_ == 0) {
-        std::cout << "threads: one per core\n";
-      } else {
-        std::cout << "threads: " << num_threads_
-                  << (num_threads_ == 1 ? " (serial)" : "") << "\n";
-      }
     } else if (cmd == ":stats") {
       PrintStats();
     } else if (cmd == ":serve-stats") {
@@ -324,7 +310,6 @@ class Shell {
     if (!Reload()) return;
     seqlog::eval::EvalOptions options;
     options.limits = limits_;
-    options.num_threads = num_threads_;
     if (mode == "naive") {
       options.strategy = seqlog::eval::Strategy::kNaive;
     } else if (mode == "strat") {
@@ -361,7 +346,6 @@ class Shell {
     }
     seqlog::eval::EvalOptions options;
     options.limits = limits_;
-    options.num_threads = num_threads_;
     seqlog::eval::EvalOutcome outcome = engine_->DrainIngest(options);
     if (!outcome.status.ok()) {
       std::cout << "! " << outcome.status.ToString() << "\n";
@@ -387,9 +371,8 @@ class Shell {
     }
   }
 
-  /// Prints the Amdahl split of the last :run — the parallelisable
-  /// firing phase vs the serial domain-closure phase (EvalStats::
-  /// fire_millis / domain_millis; docs/CONCURRENCY.md).
+  /// Prints the time split of the last :run — clause firing vs the
+  /// domain closure (EvalStats::fire_millis / domain_millis).
   void PrintStats() {
     if (!have_stats_) {
       std::cout << "? run :run first\n";
@@ -401,10 +384,9 @@ class Shell {
                  : 0;
     };
     std::cout << "last run: " << last_stats_.millis << " ms total\n"
-              << "  firing (parallel phase):  " << last_stats_.fire_millis
-              << " ms (" << share(last_stats_.fire_millis) << "%)\n"
-              << "  closure (serial barrier): "
-              << last_stats_.domain_millis() << " ms ("
+              << "  firing:  " << last_stats_.fire_millis << " ms ("
+              << share(last_stats_.fire_millis) << "%)\n"
+              << "  closure: " << last_stats_.domain_millis() << " ms ("
               << share(last_stats_.domain_millis()) << "%)\n"
               << "    domain load:  " << last_stats_.domain_load_millis
               << " ms (" << share(last_stats_.domain_load_millis) << "%)\n"
@@ -486,7 +468,6 @@ class Shell {
     if (!Reload()) return;
     seqlog::query::SolveOptions options;
     options.eval.limits = limits_;
-    options.eval.num_threads = num_threads_;
     seqlog::SolveOutcome outcome = engine_->Solve(goal, options);
     if (!outcome.status.ok()) {
       if (outcome.status.code() == seqlog::StatusCode::kNotFound) {
@@ -571,7 +552,6 @@ class Shell {
     }
     seqlog::query::SolveOptions options;
     options.eval.limits = limits_;
-    options.eval.num_threads = num_threads_;
     seqlog::Snapshot snap = engine_->PublishSnapshot();
     seqlog::ResultSet rs = pq.Execute(snap, options);
     if (!rs.ok()) {
@@ -676,7 +656,6 @@ class Shell {
   std::vector<std::pair<std::string, std::vector<std::string>>> facts_;
   std::map<std::string, seqlog::PreparedQuery> prepared_;
   seqlog::eval::EvalLimits limits_;
-  size_t num_threads_ = 0;  ///< 0 = one per hardware core
   seqlog::eval::EvalStats last_stats_;  ///< of the last :run, for :stats
   bool have_stats_ = false;
   bool evaluated_ = false;

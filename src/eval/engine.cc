@@ -1,76 +1,30 @@
 #include "eval/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <numeric>
-#include <unordered_set>
 
 #include "analysis/safety.h"
 #include "ast/validate.h"
 #include "base/string_util.h"
-#include "base/thread_pool.h"
 
 namespace seqlog {
 namespace eval {
 
 namespace {
 constexpr size_t kNoDelta = static_cast<size_t>(-1);
-/// A round whose estimated source rows (constructive firings weighted
-/// up — their per-row term evaluation runs whole machines) fall below
-/// this runs serially: the pool round-trip would cost more than the
-/// work. Keeps magic point queries, whose deltas are a handful of seed
-/// and guard facts, on the zero-overhead path.
-constexpr size_t kMinParallelWork = 128;
-/// Per-row weight of a constructive clause in the estimate above.
-constexpr size_t kConstructiveWeight = 64;
-/// A round slower than this (measured on the previous round) goes
-/// parallel even when the row estimate is small — rows are a poor proxy
-/// for enumeration-heavy clauses.
-constexpr double kSlowRoundMillis = 0.3;
-/// Minimum delta rows per shard when splitting one firing.
-constexpr uint32_t kMinShardRows = 256;
-/// An EDB-load closure whose estimated subsequence-span count falls
-/// below this is closed serially even in a multi-threaded run: the
-/// pool round-trip would cost more than the hashing it spreads out.
-constexpr size_t kMinParallelClosureSpans = 4096;
 
-/// Pre-interns the subsequence closure of every sequence `scratch`
-/// mentions that is not already in `domain`, recording the id streams
-/// per root. Runs inside a worker task, concurrently with its siblings:
-/// pool interning is thread-safe and the domain is read-only const
-/// access during a round. Roots whose closure alone exceeds a non-zero
-/// `max_domain` budget are left unhinted — the barrier sends them
-/// through the budget-checked AddRoot, which bails out mid-closure
-/// instead of interning millions of spans a doomed run never needs.
-void PreInternClosures(const Database& scratch,
-                       const ExtendedDomain& domain, size_t max_domain,
-                       std::unordered_map<SeqId, std::vector<SeqId>>* hints) {
-  for (PredId pred : scratch.PredicatesWithRelations()) {
-    const Relation* rel = scratch.Get(pred);
-    if (rel == nullptr) continue;
-    for (uint32_t i = 0; i < rel->size(); ++i) {
-      for (SeqId arg : rel->RowAt(i)) {
-        if (domain.Contains(arg)) continue;
-        if (max_domain != 0 &&
-            domain.ClosureSpanCount(arg) > max_domain) {
-          continue;
-        }
-        auto [it, fresh] = hints->try_emplace(arg);
-        if (!fresh) continue;
-        domain.EnumerateClosure(arg, &it->second);
-      }
-    }
-  }
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 }  // namespace
 
 struct Evaluator::FireTask {
   size_t plan_idx = 0;
   size_t delta_step = kNoDelta;
-  uint32_t begin = 0;            ///< delta row shard (delta firings only)
-  uint32_t end = UINT32_MAX;
 };
 
 struct Evaluator::RunState {
@@ -88,12 +42,6 @@ struct Evaluator::RunState {
   bool has_deadline = false;
   bool domain_grew = false;  ///< during the most recently merged round
   size_t last_merged_new = 0;  ///< facts added by the last merge
-  size_t threads = 1;          ///< resolved EvalOptions::num_threads
-  /// Workers for parallel rounds, created on the first round that is
-  /// worth fanning out (serial runs and small queries never pay for
-  /// thread spawns).
-  std::unique_ptr<ThreadPool> pool;
-  double last_round_millis = 0;  ///< firing time of the previous round
 };
 
 Evaluator::Evaluator(Catalog* catalog, SequencePool* pool,
@@ -128,60 +76,8 @@ Status Evaluator::LoadFacts(const Database& db, RunState* state) const {
       roots.insert(roots.end(), row.begin(), row.end());
     }
   }
-  return CloseRoots(roots, state);
-}
-
-Status Evaluator::CloseRoots(const std::vector<SeqId>& roots,
-                             RunState* state) const {
-  const size_t max_domain = state->options.limits.max_domain_sequences;
-  if (state->threads > 1 && roots.size() > 1) {
-    // Estimate the closure's span count; small loads stay serial, and
-    // so does any load with a root whose closure alone overflows the
-    // budget (the AddRoot path bails out mid-closure there instead of
-    // pre-interning spans a doomed run never needs).
-    size_t spans = 0;
-    bool over_budget_root = false;
-    for (SeqId root : roots) {
-      if (state->domain->Contains(root)) continue;
-      size_t root_spans = state->domain->ClosureSpanCount(root);
-      if (max_domain != 0 && root_spans > max_domain) {
-        over_budget_root = true;
-        break;
-      }
-      spans += root_spans;
-    }
-    if (!over_budget_root && spans >= kMinParallelClosureSpans) {
-      if (state->pool == nullptr) {
-        state->pool = std::make_unique<ThreadPool>(state->threads);
-      }
-      // First occurrence wins, cold roots only — the same order the
-      // serial AddRoot loop below inserts in, so the resulting domain
-      // enumeration is identical.
-      std::vector<SeqId> fresh;
-      std::unordered_set<SeqId> seen;
-      for (SeqId root : roots) {
-        if (state->domain->Contains(root)) continue;
-        if (seen.insert(root).second) fresh.push_back(root);
-      }
-      std::vector<std::vector<SeqId>> streams(fresh.size());
-      state->pool->ParallelFor(fresh.size(), [&](size_t i) {
-        state->domain->EnumerateClosure(fresh[i], &streams[i]);
-      });
-      size_t total = 0;
-      for (const auto& s : streams) total += s.size();
-      std::vector<SeqId> stream;
-      stream.reserve(total);
-      for (const auto& s : streams) {
-        stream.insert(stream.end(), s.begin(), s.end());
-      }
-      return state->domain->ExtendWithClosed(stream, max_domain,
-                                             state->pool.get());
-    }
-  }
-  for (SeqId root : roots) {
-    SEQLOG_RETURN_IF_ERROR(state->domain->AddRoot(root, max_domain));
-  }
-  return Status::Ok();
+  return state->domain->ExtendWith(
+      roots, state->options.limits.max_domain_sequences);
 }
 
 Status Evaluator::InitState(const Database& edb, const Database* extra_facts,
@@ -193,8 +89,6 @@ Status Evaluator::InitState(const Database& edb, const Database* extra_facts,
   }
   state->model = model;
   state->options = options;
-  state->threads = options.num_threads != 0 ? options.num_threads
-                                            : ThreadPool::HardwareThreads();
   state->owned_domain =
       base_domain != nullptr
           ? std::make_unique<ExtendedDomain>(pool_, std::move(base_domain))
@@ -216,10 +110,7 @@ Status Evaluator::InitState(const Database& edb, const Database* extra_facts,
   if (load_status.ok() && extra_facts != nullptr) {
     load_status = LoadFacts(*extra_facts, state);
   }
-  state->stats.domain_load_millis +=
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - load_start)
-          .count();
+  state->stats.domain_load_millis += MillisSince(load_start);
   SEQLOG_RETURN_IF_ERROR(load_status);
   // With a prebuilt base domain the AddRoots above short-circuit without
   // counting, so enforce the budget on the total explicitly — a snapshot
@@ -257,116 +148,43 @@ Status Evaluator::FireSubsetOnce(const std::vector<size_t>& subset,
   std::vector<FireTask> tasks;
   tasks.reserve(subset.size());
   for (size_t idx : subset) {
-    tasks.push_back(FireTask{idx, kNoDelta, 0, UINT32_MAX});
+    tasks.push_back(FireTask{idx, kNoDelta});
   }
   return FireRound(tasks, state);
 }
 
-void Evaluator::AppendDeltaTasks(size_t idx, size_t si,
-                                 const RunState& state,
-                                 std::vector<FireTask>* tasks) const {
-  const LiteralStep& step = plans_[idx].steps[si];
-  const Relation* rel = state.delta->Get(step.pred);
-  const uint32_t rows = rel != nullptr ? rel->size() : 0;
-  if (state.threads > 1 && rows >= 2 * kMinShardRows) {
-    // Contiguous, disjointly covering row ranges; the last shard takes
-    // the remainder. Every delta row is still matched exactly once.
-    uint32_t shards = static_cast<uint32_t>(
-        std::min<size_t>(state.threads, rows / kMinShardRows));
-    uint32_t per = rows / shards;
-    for (uint32_t s = 0; s < shards; ++s) {
-      uint32_t begin = s * per;
-      uint32_t end = s + 1 == shards ? rows : begin + per;
-      tasks->push_back(FireTask{idx, si, begin, end});
-    }
-    return;
-  }
-  tasks->push_back(FireTask{idx, si, 0, UINT32_MAX});
-}
-
-// Round barrier: merges the scratch databases in deterministic task
-// order. Database::MergeFromAll invokes the callback once per atom that
-// is genuinely new to the model, which keeps multi-scratch merges (a
-// fact derived by several tasks appears in several scratches) equivalent
-// to the serial shared-scratch merge. The impl accounts the fanned-out
-// row-merge phase into EvalStats::relation_merge_millis; the wrapper
-// puts the remainder of the barrier — commit replay plus domain
-// closure — into domain_merge_millis.
-Status Evaluator::MergeRound(const std::vector<const Database*>& sources,
-                             const std::vector<ClosureHints>* hints,
-                             RunState* state) const {
-  const auto barrier_start = std::chrono::steady_clock::now();
-  const double row_before = state->stats.relation_merge_millis;
-  Status status = MergeRoundImpl(sources, hints, state);
-  const double total = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - barrier_start)
-                           .count();
-  const double row_share = state->stats.relation_merge_millis - row_before;
-  state->stats.domain_merge_millis += std::max(0.0, total - row_share);
-  return status;
-}
-
-Status Evaluator::MergeRoundImpl(const std::vector<const Database*>& sources,
-                                 const std::vector<ClosureHints>* hints,
-                                 RunState* state) const {
+// Round barrier: merges the round's scratch database into the model.
+// MergeFrom invokes the callback once per atom new to the model, which
+// adds it to the next delta and closes its argument sequences into the
+// domain. Closing the roots the domain lacks is accounted into
+// EvalStats::domain_merge_millis, the rest of the merge into
+// relation_merge_millis. Only those roots are timed, not every merged
+// fact: most facts bring no new root, and two clock reads per fact
+// would cost more than the work they measure.
+Status Evaluator::MergeRound(RunState* state) const {
+  const auto merge_start = std::chrono::steady_clock::now();
   auto delta_new = std::make_unique<Database>(catalog_);
-  size_t domain_before = state->domain->size();
-  state->last_merged_new = 0;
+  const size_t domain_before = state->domain->size();
   const size_t max_domain = state->options.limits.max_domain_sequences;
-  if (hints == nullptr) {
-    // Serial rounds: inline single-writer domain growth per new fact in
-    // the exact legacy per-source order (MergeFromAll without a pool
-    // runs its shard items inline and replays identically).
-    SEQLOG_RETURN_IF_ERROR(state->model->MergeFromAll(
-        sources, /*pool=*/nullptr,
-        [&](PredId pred, TupleView row, size_t) -> Status {
-          ++state->last_merged_new;
-          delta_new->Insert(pred, row);
-          return state->domain->ExtendWith(row, max_domain);
-        },
-        &state->stats.relation_merge_millis));
-  } else {
-    // Parallel rounds: the row merge fans out over the pool (one writer
-    // per relation shard), and the firing tasks pre-interned the
-    // closures of everything they derived, so the serial replay below
-    // only concatenates their id streams in deterministic fact order —
-    // no symbol hashing here — and hands the result to the sharded
-    // membership insert.
-    std::vector<SeqId> stream;
-    std::unordered_set<SeqId> pending;  // roots already in the stream
-    SEQLOG_RETURN_IF_ERROR(state->model->MergeFromAll(
-        sources, state->pool.get(),
-        [&](PredId pred, TupleView row, size_t src) -> Status {
-          const ClosureHints& task_hints = (*hints)[src];
-          ++state->last_merged_new;
-          delta_new->Insert(pred, row);
-          for (SeqId arg : row) {
-            if (state->domain->Contains(arg) ||
-                !pending.insert(arg).second) {
-              continue;
-            }
-            auto it = task_hints.find(arg);
-            if (it != task_hints.end()) {
-              stream.insert(stream.end(), it->second.begin(),
-                            it->second.end());
-            } else {
-              // Unhinted root (its closure alone overflows the domain
-              // budget): flush the stream so insertion order stays
-              // exactly the serial one, then take the budget-checked
-              // AddRoot, which bails out mid-closure.
-              SEQLOG_RETURN_IF_ERROR(state->domain->ExtendWithClosed(
-                  stream, max_domain, state->pool.get()));
-              stream.clear();
-              SEQLOG_RETURN_IF_ERROR(
-                  state->domain->AddRoot(arg, max_domain));
-            }
-          }
-          return Status::Ok();
-        },
-        &state->stats.relation_merge_millis));
-    SEQLOG_RETURN_IF_ERROR(state->domain->ExtendWithClosed(
-        stream, max_domain, state->pool.get()));
-  }
+  double closure_millis = 0;
+  state->last_merged_new = 0;
+  Status status = state->model->MergeFrom(
+      *state->scratch, [&](PredId pred, TupleView row) -> Status {
+        ++state->last_merged_new;
+        delta_new->Insert(pred, row);
+        for (SeqId arg : row) {
+          if (state->domain->Contains(arg)) continue;
+          const auto closure_start = std::chrono::steady_clock::now();
+          Status closed = state->domain->AddRoot(arg, max_domain);
+          closure_millis += MillisSince(closure_start);
+          SEQLOG_RETURN_IF_ERROR(closed);
+        }
+        return Status::Ok();
+      });
+  state->stats.domain_merge_millis += closure_millis;
+  state->stats.relation_merge_millis +=
+      std::max(0.0, MillisSince(merge_start) - closure_millis);
+  SEQLOG_RETURN_IF_ERROR(status);
   state->domain_grew = state->domain->size() != domain_before;
   state->delta = std::move(delta_new);
   if (state->options.track_growth) {
@@ -378,119 +196,27 @@ Status Evaluator::MergeRoundImpl(const std::vector<const Database*>& sources,
 
 Status Evaluator::FireRound(const std::vector<FireTask>& tasks,
                             RunState* state) const {
-  const size_t model_facts = state->model->TotalFacts();
-  const size_t min_parallel_work = state->options.min_parallel_work != 0
-                                       ? state->options.min_parallel_work
-                                       : kMinParallelWork;
-  bool parallel = state->threads > 1 && tasks.size() > 1;
-  if (parallel && state->last_round_millis < kSlowRoundMillis) {
-    // Row estimate: full firings scan the model, delta firings their
-    // shard; constructive clauses run machines per derived row and
-    // domain-sensitive clauses enumerate the domain, so both weigh in.
-    size_t work = 0;
-    for (const FireTask& t : tasks) {
-      const ClausePlan& plan = plans_[t.plan_idx];
-      size_t rows = model_facts;
-      if (t.delta_step != kNoDelta) {
-        const Relation* rel =
-            state->delta->Get(plan.steps[t.delta_step].pred);
-        uint32_t all = rel != nullptr ? rel->size() : 0;
-        uint32_t end = t.end < all ? t.end : all;
-        rows = t.begin < end ? end - t.begin : 0;
-      }
-      work += plan.constructive ? rows * kConstructiveWeight : rows;
-      if (plan.domain_sensitive) work += state->domain->size();
-      if (work >= min_parallel_work) break;
-    }
-    parallel = work >= min_parallel_work;
+  const auto fire_start = std::chrono::steady_clock::now();
+  // Every firing of the round derives into one scratch database through
+  // one context, in task order.
+  state->scratch->Clear();
+  FireContext ctx;
+  ctx.pool = pool_;
+  ctx.domain = state->domain;
+  ctx.full = state->model;
+  ctx.delta = state->delta.get();
+  ctx.out = state->scratch.get();
+  ctx.limits = &state->options.limits;
+  ctx.stats = &state->stats;
+  ctx.deadline = state->deadline;
+  ctx.has_deadline = state->has_deadline;
+  ctx.existing_facts = state->model->TotalFacts();
+  for (const FireTask& t : tasks) {
+    SEQLOG_RETURN_IF_ERROR(
+        FireClause(plans_[t.plan_idx], t.delta_step, &ctx));
   }
-
-  auto fire_start = std::chrono::steady_clock::now();
-  if (!parallel) {
-    // Exact legacy path: all firings share one scratch database and one
-    // context, in task order.
-    state->scratch->Clear();
-    FireContext ctx;
-    ctx.pool = pool_;
-    ctx.domain = state->domain;
-    ctx.full = state->model;
-    ctx.delta = state->delta.get();
-    ctx.out = state->scratch.get();
-    ctx.limits = &state->options.limits;
-    ctx.stats = &state->stats;
-    ctx.deadline = state->deadline;
-    ctx.has_deadline = state->has_deadline;
-    ctx.existing_facts = model_facts;
-    for (const FireTask& t : tasks) {
-      SEQLOG_RETURN_IF_ERROR(
-          FireClause(plans_[t.plan_idx], t.delta_step, &ctx, t.begin,
-                     t.end));
-    }
-    state->last_round_millis =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - fire_start)
-            .count();
-    state->stats.fire_millis += state->last_round_millis;
-    return MergeRound({state->scratch.get()}, /*hints=*/nullptr, state);
-  }
-
-  if (state->pool == nullptr) {
-    state->pool = std::make_unique<ThreadPool>(state->threads);
-  }
-  const size_t n = tasks.size();
-  std::vector<std::unique_ptr<Database>> scratches(n);
-  std::vector<EvalStats> task_stats(n);
-  std::vector<Status> task_status(n, Status::Ok());
-  std::vector<ClosureHints> hints(n);
-  std::atomic<size_t> round_new{0};
-  state->pool->ParallelFor(n, [&](size_t i) {
-    // Thread-local scratch: firing takes no locks except SequencePool
-    // interning for sequences the task itself creates. Model, delta and
-    // domain are read-only until the merge barrier below.
-    scratches[i] = std::make_unique<Database>(catalog_);
-    FireContext ctx;
-    ctx.pool = pool_;
-    ctx.domain = state->domain;
-    ctx.full = state->model;
-    ctx.delta = state->delta.get();
-    ctx.out = scratches[i].get();
-    ctx.limits = &state->options.limits;
-    ctx.stats = &task_stats[i];
-    ctx.deadline = state->deadline;
-    ctx.has_deadline = state->has_deadline;
-    ctx.existing_facts = model_facts;
-    ctx.round_new = &round_new;
-    const FireTask& t = tasks[i];
-    task_status[i] = FireClause(plans_[t.plan_idx], t.delta_step, &ctx,
-                                t.begin, t.end);
-    if (task_status[i].ok()) {
-      // Still inside the parallel phase: pre-intern the subsequence
-      // closures of what this task derived, so the serial barrier below
-      // finds every span warm in the pool and only does membership
-      // inserts.
-      PreInternClosures(*scratches[i], *state->domain,
-                        state->options.limits.max_domain_sequences,
-                        &hints[i]);
-    }
-  });
-  state->last_round_millis =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - fire_start)
-          .count();
-  state->stats.fire_millis += state->last_round_millis;
-  // Aggregate the order-insensitive counters, then report the first
-  // failure in task order (deterministic across schedules); the round's
-  // scratches are discarded on error, like the serial path's.
-  for (const EvalStats& ts : task_stats) {
-    state->stats.derivations += ts.derivations;
-  }
-  for (const Status& ts : task_status) {
-    SEQLOG_RETURN_IF_ERROR(ts);
-  }
-  std::vector<const Database*> sources;
-  sources.reserve(n);
-  for (const auto& scratch : scratches) sources.push_back(scratch.get());
-  return MergeRound(sources, &hints, state);
+  state->stats.fire_millis += MillisSince(fire_start);
+  return MergeRound(state);
 }
 
 Status Evaluator::Saturate(const std::vector<size_t>& subset, bool naive,
@@ -508,11 +234,11 @@ Status Evaluator::Saturate(const std::vector<size_t>& subset, bool naive,
           (plan.domain_sensitive && domain_grew_last_round)) {
         // New domain elements can satisfy enumerated variables with old
         // facts; a full re-fire is the only sound option.
-        tasks.push_back(FireTask{idx, kNoDelta, 0, UINT32_MAX});
+        tasks.push_back(FireTask{idx, kNoDelta});
         continue;
       }
       for (size_t si : plan.match_steps) {
-        AppendDeltaTasks(idx, si, *state, &tasks);
+        tasks.push_back(FireTask{idx, si});
       }
     }
     SEQLOG_RETURN_IF_ERROR(FireRound(tasks, state));
@@ -608,10 +334,7 @@ EvalOutcome Evaluator::Evaluate(
   }
   state.stats.facts = model->TotalFacts();
   state.stats.domain_sequences = state.domain ? state.domain->size() : 0;
-  state.stats.millis =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - state.start)
-          .count();
+  state.stats.millis = MillisSince(state.start);
   outcome.stats = std::move(state.stats);
   if (domain_out != nullptr) {
     // Hand the run's domain to the caller (live-ingest keeps it paired
@@ -630,8 +353,6 @@ EvalOutcome Evaluator::Resaturate(Database* model, ExtendedDomain* domain,
   state.model = model;
   state.domain = domain;
   state.options = options;
-  state.threads = options.num_threads != 0 ? options.num_threads
-                                           : ThreadPool::HardwareThreads();
   state.delta = std::make_unique<Database>(catalog_);
   state.scratch = std::make_unique<Database>(catalog_);
   state.start = std::chrono::steady_clock::now();
@@ -665,11 +386,10 @@ EvalOutcome Evaluator::Resaturate(Database* model, ExtendedDomain* domain,
     }
     if (!status.ok()) break;
   }
-  if (status.ok()) status = CloseRoots(roots, &state);
-  state.stats.domain_load_millis +=
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - load_start)
-          .count();
+  if (status.ok()) {
+    status = domain->ExtendWith(roots, options.limits.max_domain_sequences);
+  }
+  state.stats.domain_load_millis += MillisSince(load_start);
   state.domain_grew = domain->size() != domain_before;
   state.last_merged_new = state.stats.ingested_facts;
   if (status.ok() && state.stats.ingested_facts > 0) {
@@ -688,10 +408,7 @@ EvalOutcome Evaluator::Resaturate(Database* model, ExtendedDomain* domain,
   state.stats.facts = model->TotalFacts();
   state.stats.domain_sequences = domain->size();
   state.stats.resaturate_rounds = state.stats.iterations;
-  state.stats.millis =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - state.start)
-          .count();
+  state.stats.millis = MillisSince(state.start);
   state.stats.resaturate_millis = state.stats.millis;
   outcome.stats = std::move(state.stats);
   return outcome;

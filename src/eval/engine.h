@@ -19,25 +19,16 @@
 // divergent programs such as Example 1.6 end with kResourceExhausted and
 // partial results left in the model for inspection.
 //
-// Rounds are embarrassingly parallel: within one iteration every clause
-// firing reads the same frozen (model, delta, domain) triple and only
-// writes derived facts, so EvalOptions::num_threads > 1 fans the firings
-// (sharding large deltas by row range) out to a pool of workers with
-// thread-local scratch databases. Mutation is confined to the round
-// barrier, which merges scratches in deterministic task order. The
-// domain closure itself is parallelised end to end: worker tasks
-// pre-intern the subsequence spans of sequences they derive (lock-free
-// SequencePool reads, shared_mutex interning) and hand the barrier
-// ready-made closure id streams, so the barrier degrades to membership
-// inserts on warm pool entries — with the duplicate filtering sharded
-// across workers (ExtendedDomain::ExtendWithClosed); the EDB-load
-// closure fans out the same way. The computed model is identical at
-// every thread count. docs/CONCURRENCY.md holds the full contract.
+// Evaluation is single-threaded: a round fires its clauses into one
+// scratch database and merges it into the model at the round barrier
+// (Database::MergeFrom), which also grows the extended active domain.
+// Concurrency lives above the evaluator: Evaluate is const, so many
+// threads may evaluate one compiled program at once, each into its own
+// model (docs/CONCURRENCY.md).
 #ifndef SEQLOG_EVAL_ENGINE_H_
 #define SEQLOG_EVAL_ENGINE_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/clause.h"
@@ -57,31 +48,9 @@ struct EvalOptions {
   EvalLimits limits;
   /// Record (facts, domain) after every iteration into stats.growth.
   bool track_growth = false;
-  /// Execution width of a fixpoint round: 0 = one thread per hardware
-  /// core, 1 = the exact single-threaded legacy path, N = up to N-way
-  /// parallelism. Within a round each clause firing (and, for large
-  /// deltas, each contiguous row shard of one firing) derives into a
-  /// thread-local scratch database; the round barrier merges the
-  /// scratches in deterministic task order, so the computed model, the
-  /// answer sets and the iteration/derivation counters are identical at
-  /// every width — only wall-clock time and budget-edge behaviour vary:
-  /// the round-global max_facts counter tallies a fact once per task
-  /// that derives it (it cannot see across private scratches), so a run
-  /// sitting exactly at the max_facts edge can exhaust at a width where
-  /// another width still fits; similarly the domain budget is checked
-  /// against a parallel barrier batch's final size rather than
-  /// mid-closure, so a *failing* run's partial domain can differ by
-  /// width (the status and all successful runs are identical). Small
-  /// rounds stay serial regardless (the pool round-trip would cost more
-  /// than the work), so point queries over magic rewrites pay nothing
-  /// for the default.
+  /// Ignored: evaluation is single-threaded. Kept so existing callers
+  /// that set it still compile.
   size_t num_threads = 0;
-  /// Estimated-row floor below which a round stays serial (0 = the
-  /// built-in default). Tests set 1 to force tiny rounds through the
-  /// parallel fan-out and shard-parallel merge barrier — the production
-  /// heuristic would keep them on the serial path and the parallel
-  /// machinery would go unexercised.
-  size_t min_parallel_work = 0;
 };
 
 /// Status plus statistics; stats are valid even when status is an error
@@ -143,7 +112,7 @@ class Evaluator {
   /// domain exactly like an EDB load — and the same semi-naive rounds
   /// re-run until the fixpoint: delta firings per body literal, full
   /// re-fires of domain-sensitive clauses while the domain grows, the
-  /// same parallel fan-out and round barrier as a cold run. Because the
+  /// same round barrier as a cold run. Because the
   /// T-operator is monotone for insert-only deltas, the result equals a
   /// cold Evaluate over D union batch (property-tested bit-identically,
   /// tests/ivm_test.cc); retractions are NOT supported — callers must
@@ -162,29 +131,17 @@ class Evaluator {
 
  private:
   struct RunState;
-  /// One clause firing of a round: plan index, delta literal (kNoDelta
-  /// for a full firing) and a delta row shard (parallel rounds split one
-  /// large delta into contiguous, disjointly covering ranges).
+  /// One clause firing of a round: plan index and delta literal
+  /// (kNoDelta for a full firing).
   struct FireTask;
-  /// Per-task closure hints: root id -> its pre-interned subsequence
-  /// closure stream (EnumerateClosure order). Worker tasks fill one map
-  /// per task during the firing phase; the merge barrier consumes them
-  /// so the domain extension never hashes a symbol span.
-  using ClosureHints = std::unordered_map<SeqId, std::vector<SeqId>>;
 
   Status InitState(const Database& edb, const Database* extra_facts,
                    std::shared_ptr<const ExtendedDomain> base_domain,
                    const EvalOptions& options, Database* model,
                    RunState* state) const;
   /// Loads every atom of `db` into the model and delta, then closes the
-  /// argument sequences into the domain via CloseRoots.
+  /// argument sequences into the domain.
   Status LoadFacts(const Database& db, RunState* state) const;
-  /// Extends the domain with every id of `roots` (subsequence closure
-  /// included), in order. Multi-threaded runs with enough closure work
-  /// pre-intern the spans in parallel and batch the membership inserts
-  /// (ExtendWithClosed); otherwise this is the serial AddRoot loop. The
-  /// resulting domain is identical either way.
-  Status CloseRoots(const std::vector<SeqId>& roots, RunState* state) const;
   /// One least-fixpoint loop over the given clause subset; shared by all
   /// strategies. `first_full` forces a full firing pass first — cold
   /// runs need it (the round-0 delta alone misses empty-body clauses);
@@ -196,35 +153,13 @@ class Evaluator {
   /// Bumps the iteration counter and enforces the iteration and wall-time
   /// budgets. Called once per fixpoint round.
   Status CheckIterationBudget(RunState* state) const;
-  /// Appends the semi-naive task(s) for delta literal `si` of plan
-  /// `idx`, sharding the delta relation across workers when it is large
-  /// enough and the run is multi-threaded.
-  void AppendDeltaTasks(size_t idx, size_t si, const RunState& state,
-                        std::vector<FireTask>* tasks) const;
-  /// Executes one round's tasks and merges the results. Small or
-  /// single-threaded rounds run the tasks serially into the shared
-  /// scratch database (the exact legacy path); otherwise the tasks fan
-  /// out to the run's thread pool, each deriving into a thread-local
-  /// scratch — and pre-interning the closures of what it derived into
-  /// per-task ClosureHints — merged deterministically in task order at
-  /// the barrier.
+  /// Fires one round's tasks, in order, into the run's scratch database,
+  /// then merges it (MergeRound).
   Status FireRound(const std::vector<FireTask>& tasks,
                    RunState* state) const;
-  /// Merges `sources` (in order) into the model via
-  /// Database::MergeFromAll — parallel rounds fan the row merge over the
-  /// run's pool, one writer per relation shard — refreshing delta,
-  /// domain and growth stats. The row-merge phase is accounted into
-  /// EvalStats::relation_merge_millis, the rest of the barrier (commit
-  /// replay, domain closure) into domain_merge_millis. With `hints`
-  /// (parallel rounds) the domain grows through the warm-entry
-  /// ExtendWithClosed path; without (serial rounds) through the legacy
-  /// inline ExtendWith.
-  Status MergeRound(const std::vector<const Database*>& sources,
-                    const std::vector<ClosureHints>* hints,
-                    RunState* state) const;
-  Status MergeRoundImpl(const std::vector<const Database*>& sources,
-                        const std::vector<ClosureHints>* hints,
-                        RunState* state) const;
+  /// Merges the scratch database into the model, refreshing delta,
+  /// domain and growth stats.
+  Status MergeRound(RunState* state) const;
 
   Status EvaluateFlat(const EvalOptions& options, RunState* state) const;
   Status EvaluateStratified(const EvalOptions& options,

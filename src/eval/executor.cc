@@ -1,8 +1,6 @@
 #include "eval/executor.h"
 
 #include <algorithm>
-#include <array>
-#include <limits>
 
 #include "base/string_util.h"
 
@@ -14,13 +12,8 @@ namespace {
 /// Recursive backtracking evaluator for one firing of one clause.
 class Firer {
  public:
-  Firer(const ClausePlan& plan, size_t delta_step, FireContext* ctx,
-        uint32_t delta_begin, uint32_t delta_end)
-      : plan_(plan),
-        delta_step_(delta_step),
-        delta_begin_(delta_begin),
-        delta_end_(delta_end),
-        ctx_(ctx) {
+  Firer(const ClausePlan& plan, size_t delta_step, FireContext* ctx)
+      : plan_(plan), delta_step_(delta_step), ctx_(ctx) {
     env_.Resize(plan.num_seq_vars, plan.num_idx_vars);
   }
 
@@ -87,8 +80,7 @@ class Firer {
     // and must not clobber this literal's keys.
     size_t n_args = step.args.size();
     std::vector<SeqId> key_vals(n_args, kEmptySeq);
-    Relation::Candidates candidates;
-    bool have_candidates = false;
+    std::span<const RowId> candidates;
     bool have_key = false;
     for (size_t i = 0; i < n_args; ++i) {
       if (step.modes[i] != ArgMode::kKey) continue;
@@ -96,77 +88,25 @@ class Firer {
                               EvalSeqTerm(*step.args[i], env_, ctx_->pool));
       if (!v.has_value()) return Status::Ok();  // theta undefined here
       key_vals[i] = *v;
-      have_key = true;
-      Relation::Candidates rows = rel->RowsWithValue(i, *v);
+      std::span<const RowId> rows = rel->RowsWithValue(i, *v);
       if (rows.empty()) return Status::Ok();  // no matching fact
-      if (!have_candidates || rows.size() < candidates.size()) {
-        candidates = rows;
-        have_candidates = true;
-      }
+      if (!have_key || rows.size() < candidates.size()) candidates = rows;
+      have_key = true;
     }
-
-    // Delta sharding (parallel rounds): this literal only sees rows in
-    // [begin, end) of the delta relation. Shards cover the relation
-    // disjointly across tasks, so every delta row is matched exactly
-    // once per round, same as an unsharded firing.
-    uint32_t begin = 0;
-    uint32_t end = rel->size();
-    if (si == delta_step_) {
-      begin = delta_begin_ < end ? delta_begin_ : end;
-      end = delta_end_ < end ? delta_end_ : end;
-    }
-    const bool ranged = begin != 0 || end != rel->size();
-    if (have_candidates) {
-      if (candidates.num_lists == 1 && !ranged) {
-        // Single storage shard holds every match (always the case for a
-        // first-column probe); its list is already ascending in scan
-        // position, so iterate it directly.
-        for (RowId id : *candidates.lists[0]) {
-          SEQLOG_RETURN_IF_ERROR(CheckDeadline());
-          SEQLOG_RETURN_IF_ERROR(
-              MatchTuple(step, si, key_vals, rel->RowById(id)));
-        }
-        return Status::Ok();
-      }
-      // Matches span storage shards: merge the per-shard lists by scan
-      // position. Candidate order must stay the global insertion order —
-      // the order the flat pre-shard index produced — because match
-      // order decides scratch insertion order and therefore the model's
-      // row order; shard-major iteration would leak the SeqId hash (a
-      // schedule-dependent value in parallel runs) into it.
-      std::array<size_t, Relation::kNumShards> cursor{};
-      std::array<uint32_t, Relation::kNumShards> head_pos;
-      for (uint32_t li = 0; li < candidates.num_lists; ++li) {
-        head_pos[li] = rel->PositionOf((*candidates.lists[li])[0]);
-      }
-      for (size_t remaining = candidates.total; remaining > 0;
-           --remaining) {
-        uint32_t best_pos = UINT32_MAX;
-        uint32_t best_li = 0;
-        for (uint32_t li = 0; li < candidates.num_lists; ++li) {
-          if (cursor[li] < candidates.lists[li]->size() &&
-              head_pos[li] < best_pos) {
-            best_pos = head_pos[li];
-            best_li = li;
-          }
-        }
-        const std::vector<RowId>& list = *candidates.lists[best_li];
-        RowId id = list[cursor[best_li]];
-        if (++cursor[best_li] < list.size()) {
-          head_pos[best_li] = rel->PositionOf(list[cursor[best_li]]);
-        }
-        if (ranged && (best_pos < begin || best_pos >= end)) continue;
+    if (have_key) {
+      // Index lists are ascending in scan position, so matches come in
+      // the same order as a full scan would find them.
+      for (RowId pos : candidates) {
         SEQLOG_RETURN_IF_ERROR(CheckDeadline());
         SEQLOG_RETURN_IF_ERROR(
-            MatchTuple(step, si, key_vals, rel->RowById(id)));
+            MatchTuple(step, si, key_vals, rel->RowAt(pos)));
       }
       return Status::Ok();
     }
-    if (have_key) return Status::Ok();
-    for (uint32_t row = begin; row < end; ++row) {
+    for (RowId pos = 0; pos < rel->size(); ++pos) {
       SEQLOG_RETURN_IF_ERROR(CheckDeadline());
       SEQLOG_RETURN_IF_ERROR(
-          MatchTuple(step, si, key_vals, rel->RowAt(row)));
+          MatchTuple(step, si, key_vals, rel->RowAt(pos)));
     }
     return Status::Ok();
   }
@@ -317,16 +257,7 @@ class Firer {
     }
     if (ctx_->out->Insert(plan_.head_pred, tuple_)) {
       ++ctx_->out_new;
-      // Serial rounds share one scratch database, so out_new is the
-      // round's exact new-fact count. Parallel tasks each have a private
-      // scratch; the shared round counter keeps the budget global (it
-      // may count a fact once per task that derives it — conservative,
-      // and exact whenever tasks derive disjoint facts).
-      size_t round_total =
-          ctx_->round_new != nullptr
-              ? ctx_->round_new->fetch_add(1, std::memory_order_relaxed) + 1
-              : ctx_->out_new;
-      if (ctx_->existing_facts + round_total > ctx_->limits->max_facts) {
+      if (ctx_->existing_facts + ctx_->out_new > ctx_->limits->max_facts) {
         return Status::ResourceExhausted(
             StrCat("interpretation exceeded ", ctx_->limits->max_facts,
                    " facts"));
@@ -337,8 +268,6 @@ class Firer {
 
   const ClausePlan& plan_;
   size_t delta_step_;
-  uint32_t delta_begin_;
-  uint32_t delta_end_;
   FireContext* ctx_;
   Env env_;
   std::vector<SeqId> tuple_;
@@ -347,9 +276,8 @@ class Firer {
 }  // namespace
 
 Status FireClause(const ClausePlan& plan, size_t delta_step,
-                  FireContext* ctx, uint32_t delta_begin,
-                  uint32_t delta_end) {
-  Firer firer(plan, delta_step, ctx, delta_begin, delta_end);
+                  FireContext* ctx) {
+  Firer firer(plan, delta_step, ctx);
   return firer.Run();
 }
 

@@ -11,7 +11,6 @@
 #ifndef SEQLOG_EVAL_EXECUTOR_H_
 #define SEQLOG_EVAL_EXECUTOR_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -36,9 +35,7 @@ struct EvalLimits {
   int64_t max_millis = 0;  ///< 0 = no deadline.
 };
 
-/// Counters reported by an evaluation. All counters are aggregates that
-/// do not depend on clause firing order, so they are identical at every
-/// EvalOptions::num_threads.
+/// Counters reported by an evaluation.
 struct EvalStats {
   size_t iterations = 0;
   size_t facts = 0;             ///< atoms in the computed interpretation
@@ -46,28 +43,17 @@ struct EvalStats {
   size_t derivations = 0;       ///< head emissions attempted
   size_t strata = 0;            ///< stratified strategy only
   double millis = 0;
-  /// Wall-clock spent firing clauses — the phase that parallelises.
-  /// Parallel runs also pre-intern the subsequence closures of derived
-  /// sequences inside this phase, so on constructive workloads most of
-  /// what used to be serial closure time moves here.
-  /// fire_millis/millis bounds the achievable speedup (Amdahl).
+  /// Wall-clock spent firing clauses. Together with the domain and
+  /// relation-merge timers below it accounts for nearly all of `millis`.
   double fire_millis = 0;
   /// Wall-clock spent growing the extended active domain, split by
-  /// phase. Together with fire_millis they account for nearly all of
-  /// `millis`, so the Amdahl split in bench output is measured, not
-  /// inferred. domain_load_millis covers the EDB/seed load closure at
-  /// run start; domain_merge_millis covers the round merge barriers —
-  /// the single-writer section the sharded-merge roadmap item targets,
-  /// so the two must be measurable separately.
+  /// phase: domain_load_millis covers the EDB/seed load closure at run
+  /// start, domain_merge_millis the closure of new roots at the round
+  /// barriers.
   double domain_load_millis = 0;
   double domain_merge_millis = 0;
-  /// Wall-clock of the row-merge phase of the round barriers (dedup
-  /// probes, row appends, index maintenance) — the part
-  /// Database::MergeFromAll fans out one writer per relation shard.
-  /// domain_merge_millis keeps the rest of the barrier: the serial
-  /// commit/callback replay and the domain closure inserts. The two are
-  /// split so BENCH_pr*.json can show the sharded merge share falling
-  /// while the closure share stays put.
+  /// Wall-clock of the rest of the round barriers: dedup probes, row
+  /// appends and index maintenance of the model and the next delta.
   double relation_merge_millis = 0;
   /// The combined domain time (the pre-split counter's value).
   double domain_millis() const {
@@ -94,15 +80,11 @@ struct EvalStats {
   /// machine/state/fusion fields describe registered machines (stable
   /// across runs); the *_node_runs counters are cumulative over the
   /// engine's lifetime — unlike every counter above, they do grow with
-  /// each evaluation and are not part of the thread-width invariant.
+  /// each evaluation.
   TransducerStats transducer;
 };
 
-/// Mutable state for firings within one iteration. Serial rounds share
-/// one context across all clause firings; parallel rounds give each task
-/// a private context (with a private `out` scratch database and private
-/// `stats`) so firing never takes a lock — only `round_new`, when set,
-/// is shared between tasks.
+/// Mutable state shared by the clause firings of one iteration.
 struct FireContext {
   SequencePool* pool = nullptr;
   const ExtendedDomain* domain = nullptr;
@@ -116,25 +98,13 @@ struct FireContext {
   size_t existing_facts = 0;  ///< facts in `full` (for max_facts checks)
   size_t out_new = 0;         ///< new facts inserted into `out`
   size_t tick = 0;            ///< deadline polling counter
-  /// Parallel rounds: new-fact count across all tasks of the round, so
-  /// the max_facts budget is enforced against the combined output rather
-  /// than per task. Null on the serial path (out_new alone is exact
-  /// there, because every firing shares one scratch database).
-  std::atomic<size_t>* round_new = nullptr;
 };
 
 /// Fires `plan` once. `delta_step` is the index into plan.steps of the
 /// single predicate literal to source from ctx->delta, or SIZE_MAX to
 /// source every literal from ctx->full.
-///
-/// `delta_begin`/`delta_end` restrict the delta literal to rows
-/// [delta_begin, min(delta_end, rows)) of its delta relation — the
-/// parallel evaluator shards one large delta across workers into
-/// contiguous row ranges that cover it disjointly. The defaults select
-/// every row; the range never applies to full (kNoDelta) firings.
 Status FireClause(const ClausePlan& plan, size_t delta_step,
-                  FireContext* ctx, uint32_t delta_begin = 0,
-                  uint32_t delta_end = UINT32_MAX);
+                  FireContext* ctx);
 
 }  // namespace eval
 }  // namespace seqlog

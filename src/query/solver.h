@@ -51,10 +51,7 @@ namespace seqlog {
 namespace query {
 
 struct SolveOptions {
-  /// Strategy, budgets and thread count for evaluating the rewritten
-  /// program. num_threads passes straight through to eval::Evaluator;
-  /// point queries with small per-round deltas stay on the serial path
-  /// regardless (eval/engine.cc dispatches rounds by estimated work).
+  /// Strategy and budgets for evaluating the rewritten program.
   eval::EvalOptions eval;
 };
 

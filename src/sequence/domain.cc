@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "base/string_util.h"
-#include "base/thread_pool.h"
 
 namespace seqlog {
 
@@ -14,7 +13,7 @@ ExtendedDomain::ExtendedDomain(SequencePool* pool) : pool_(pool) {
   // is present from the start so that programs over an empty database
   // still have epsilon available.
   seqs_.push_back(kEmptySeq);
-  members_[kEmptySeq & (kMemberShards - 1)].insert(kEmptySeq);
+  members_.insert(kEmptySeq);
   by_length_.resize(1);
   by_length_[0].push_back(kEmptySeq);
 }
@@ -44,29 +43,9 @@ Status ExtendedDomain::ExtendWith(std::span<const SeqId> roots,
   return Status::Ok();
 }
 
-void ExtendedDomain::EnumerateClosure(SeqId root,
-                                      std::vector<SeqId>* out) const {
-  ForEachClosureId(root, [out](SeqId id) {
-    out->push_back(id);
-    return true;
-  });
-}
-
-size_t ExtendedDomain::ClosureSpanCount(SeqId root) const {
-  SeqView v = pool_->View(root);
-  size_t n = v.size();
-  if (n == 0) return 1;  // just the root (epsilon)
-  bool uniform = true;
-  for (size_t i = 1; uniform && i < n; ++i) {
-    if (v[i] != v[0]) uniform = false;
-  }
-  // Root + (n-1) prefixes, or root + the n(n+1)/2 - 1 proper subspans.
-  return uniform ? n : n * (n + 1) / 2;
-}
-
 void ExtendedDomain::InsertMember(SeqId s) {
   if (base_ != nullptr && base_->Contains(s)) return;
-  if (!members_[s & (kMemberShards - 1)].insert(s).second) return;
+  if (!members_.insert(s).second) return;
   seqs_.push_back(s);
   size_t len = pool_->Length(s);
   if (len > lmax_) lmax_ = len;
@@ -79,68 +58,30 @@ Status ExtendedDomain::AddRoot(SeqId id, size_t max_sequences) {
   // Insert as the closure is enumerated and stop the moment the budget
   // is exceeded — a diverging run must fail after ~max_sequences
   // interns, not after materialising a potentially enormous closure.
-  bool exhausted = false;
-  ForEachClosureId(id, [&](SeqId s) {
+  // Canonical order: the root, then every contiguous subsequence by
+  // length ascending, start ascending.
+  auto add = [&](SeqId s) {
     InsertMember(s);
-    exhausted = max_sequences != 0 && size() > max_sequences;
-    return !exhausted;
-  });
-  if (exhausted) {
-    return Status::ResourceExhausted(
-        StrCat("extended active domain exceeded ", max_sequences,
-               " sequences"));
-  }
-  return Status::Ok();
-}
-
-Status ExtendedDomain::ExtendWithClosed(std::span<const SeqId> stream,
-                                        size_t max_sequences,
-                                        ThreadPool* workers) {
-  const size_t n = stream.size();
-  if (n == 0) return Status::Ok();
-  // Phase 1 — deterministic duplicate filtering. `accepted[i]` marks the
-  // stream positions whose id is genuinely new; each id belongs to
-  // exactly one membership shard, so one worker per shard touches
-  // disjoint hash sets and disjoint accepted slots, lock-free. The
-  // outcome (first occurrence wins) is position-based and therefore
-  // identical however the shards are scheduled.
-  std::vector<uint8_t> accepted(n, 0);
-  if (workers != nullptr && n >= kMinParallelStream) {
-    workers->ParallelFor(kMemberShards, [&](size_t shard) {
-      auto& set = members_[shard];
-      for (size_t i = 0; i < n; ++i) {
-        SeqId id = stream[i];
-        if ((id & (kMemberShards - 1)) != shard) continue;
-        if (base_ != nullptr && base_->Contains(id)) continue;
-        if (set.insert(id).second) accepted[i] = 1;
-      }
-    });
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      SeqId id = stream[i];
-      if (base_ != nullptr && base_->Contains(id)) continue;
-      if (members_[id & (kMemberShards - 1)].insert(id).second) {
-        accepted[i] = 1;
-      }
+    return max_sequences == 0 || size() <= max_sequences;
+  };
+  bool ok = add(id);
+  SeqView v = pool_->View(id);
+  const size_t n = v.size();
+  // Uniform sequences (a^n — poly-A tails and unary counters are common)
+  // have only n+1 distinct subsequences; hashing all ~n^2/2 subspans
+  // would cost O(n^3) symbol work. Their n prefixes cover the same value
+  // set in the same first-occurrence order.
+  bool uniform = n > 0;
+  for (size_t i = 1; uniform && i < n; ++i) uniform = v[i] == v[0];
+  for (size_t len = 1; ok && len < n; ++len) {
+    const size_t starts = uniform ? 1 : n - len + 1;
+    for (size_t from = 0; ok && from < starts; ++from) {
+      ok = add(pool_->Intern(v.subspan(from, len)));
     }
   }
-  // Phase 2 — ordered append: plain integer push_backs in stream order,
-  // single-writer, so enumeration order matches the AddRoot path bit for
-  // bit. Length lookups are lock-free pool reads.
-  for (size_t i = 0; i < n; ++i) {
-    if (!accepted[i]) continue;
-    SeqId id = stream[i];
-    seqs_.push_back(id);
-    size_t len = pool_->Length(id);
-    if (len > lmax_) lmax_ = len;
-    if (len >= by_length_.size()) by_length_.resize(len + 1);
-    by_length_[len].push_back(id);
-  }
-  if (max_sequences != 0 && size() > max_sequences) {
-    return Status::ResourceExhausted(StrCat(
-        "extended active domain exceeded ", max_sequences, " sequences"));
-  }
-  return Status::Ok();
+  if (ok) return Status::Ok();
+  return Status::ResourceExhausted(StrCat(
+      "extended active domain exceeded ", max_sequences, " sequences"));
 }
 
 }  // namespace seqlog

@@ -10,7 +10,6 @@
 #ifndef SEQLOG_SEQUENCE_DOMAIN_H_
 #define SEQLOG_SEQUENCE_DOMAIN_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -24,8 +23,6 @@
 #include "sequence/sequence_pool.h"
 
 namespace seqlog {
-
-class ThreadPool;
 
 /// A two-segment view over SeqId vectors (frozen base first, then the
 /// overlay), iterable like a vector. Returned by ExtendedDomain so a
@@ -96,13 +93,9 @@ class DomainView {
 /// both: its domain is immutable after publish).
 ///
 /// Concurrency (full contract in docs/CONCURRENCY.md): the domain is
-/// single-writer. During a parallel evaluation round it is strictly
-/// read-only — firing threads call the const members (`Contains`,
-/// `sequences`, `WithLength`, `EnumerateClosure`) concurrently — and all
-/// growth happens at the round's merge barrier on one thread
-/// (`ExtendWith` / `ExtendWithClosed`; the latter may fan its duplicate
-/// filtering out over disjoint membership shards, which is the only
-/// multi-threaded write path and touches no state a reader holds).
+/// single-writer. Its const members (`Contains`, `sequences`,
+/// `WithLength`) are safe from many threads while no thread grows it,
+/// which is how a published snapshot's frozen domain is shared.
 class ExtendedDomain {
  public:
   explicit ExtendedDomain(SequencePool* pool);
@@ -116,50 +109,10 @@ class ExtendedDomain {
   /// evaluation on that status.
   Status AddRoot(SeqId id, size_t max_sequences = 0);
 
-  /// Batched growth for the evaluator's merge barrier: adds every id of
-  /// `roots` (each with its subsequence closure) under one budget, in
-  /// order. Parallel semi-naive rounds derive into thread-local scratch
-  /// databases and funnel ALL domain growth through this call (or through
-  /// ExtendWithClosed) at the merge, so the closure structures stay
-  /// single-writer; during a round the domain is read-only
-  /// (eval/engine.cc).
+  /// Adds every id of `roots` (each with its subsequence closure) under
+  /// one budget, in order — the evaluator closes the argument sequences
+  /// of loaded facts through this call.
   Status ExtendWith(std::span<const SeqId> roots, size_t max_sequences = 0);
-
-  /// Closure enumeration *without* domain mutation: appends `root`
-  /// followed by the interned ids of every contiguous subsequence of it,
-  /// in the canonical insertion order AddRoot uses (root first, then
-  /// length ascending / start ascending; uniform sequences contribute
-  /// only their prefixes — same value set, n+1 entries instead of ~n²/2).
-  ///
-  /// Thread-safe const: only pool interning, no domain writes. Worker
-  /// tasks of a parallel round call this to pre-intern the closures of
-  /// sequences they derive while the firing phase is still parallel;
-  /// the merge barrier then consumes the concatenated id streams through
-  /// ExtendWithClosed and never re-hashes a symbol span.
-  void EnumerateClosure(SeqId root, std::vector<SeqId>* out) const;
-
-  /// Number of ids EnumerateClosure would emit for `root` (root
-  /// included): n for a uniform sequence of length n >= 1, n(n+1)/2
-  /// otherwise, 1 for epsilon. O(n) — used to keep pre-interning away
-  /// from closures a domain budget could never admit, where the
-  /// budget-checked AddRoot path bails out mid-closure instead of
-  /// enumerating everything.
-  size_t ClosureSpanCount(SeqId root) const;
-
-  /// Batched growth from a pre-interned closure `stream` (concatenated
-  /// EnumerateClosure outputs, in deterministic root order). Every id is
-  /// a membership insert — no symbol hashing — and the duplicate
-  /// filtering fans out over `workers` (may be null) across disjoint
-  /// membership shards when the stream is large. The resulting domain —
-  /// contents *and* enumeration order — is identical to calling AddRoot
-  /// on the stream's roots in the same order.
-  ///
-  /// Budget note: the `max_sequences` check runs once against the final
-  /// size, so a failing run's partial domain may be larger than the
-  /// serial path's (which stops mid-closure); the returned status and
-  /// every successful run are identical.
-  Status ExtendWithClosed(std::span<const SeqId> stream,
-                          size_t max_sequences, ThreadPool* workers);
 
   /// Deep copy of a flat (non-layered) domain. Publish-side incremental
   /// closure (core/engine.cc): clone the previous snapshot's frozen
@@ -169,7 +122,7 @@ class ExtendedDomain {
 
   /// True if `id` is in the extended domain (base or overlay).
   bool Contains(SeqId id) const {
-    return members_[id & (kMemberShards - 1)].count(id) > 0 ||
+    return members_.count(id) > 0 ||
            (base_ != nullptr && base_->Contains(id));
   }
 
@@ -211,56 +164,15 @@ class ExtendedDomain {
 
  private:
   static const std::vector<SeqId> kNoSeqs;
-  /// Membership is sharded by the id's low bits so ExtendWithClosed can
-  /// deduplicate a closure stream with one worker per shard — disjoint
-  /// hash sets, no locks. Contains costs the same as one flat set.
-  static constexpr size_t kMemberShards = 16;
-  /// A closure stream shorter than this is deduplicated inline; the
-  /// per-shard fan-out only pays off once the stream dwarfs the
-  /// ParallelFor round-trip.
-  static constexpr size_t kMinParallelStream = 4096;
 
   /// Inserts `s` into members/seqs/buckets unless present (or contained
   /// in the base). Single-writer.
   void InsertMember(SeqId s);
 
-  /// Shared closure enumeration behind EnumerateClosure and AddRoot:
-  /// calls emit(id) for the root and each interned subsequence span in
-  /// canonical order; emit returns false to stop early (how AddRoot
-  /// bails out mid-closure the moment the budget is exceeded, instead
-  /// of interning spans a doomed run never needs).
-  template <typename Emit>
-  void ForEachClosureId(SeqId root, Emit&& emit) const {
-    SeqView v = pool_->View(root);
-    size_t n = v.size();
-    if (!emit(root)) return;
-    // Uniform sequences (a^n — poly-A tails and unary counters are
-    // common) have only n+1 distinct subsequences; the generic loop
-    // below would still hash all ~n^2/2 subspans (O(n^3) symbol work).
-    // Emit the n prefixes directly instead; they cover the same value
-    // set in the same first-occurrence order as the generic
-    // enumeration.
-    bool uniform = n > 0;
-    for (size_t i = 1; uniform && i < n; ++i) {
-      if (v[i] != v[0]) uniform = false;
-    }
-    if (uniform) {
-      for (size_t len = 1; len < n; ++len) {
-        if (!emit(pool_->Intern(v.subspan(0, len)))) return;
-      }
-      return;
-    }
-    for (size_t len = 1; len < n; ++len) {
-      for (size_t from = 0; from + len <= n; ++from) {
-        if (!emit(pool_->Intern(v.subspan(from, len)))) return;
-      }
-    }
-  }
-
   SequencePool* pool_;
   std::shared_ptr<const ExtendedDomain> base_;  ///< frozen; may be null
-  std::vector<SeqId> seqs_;                     ///< overlay members
-  std::array<std::unordered_set<SeqId>, kMemberShards> members_;
+  std::vector<SeqId> seqs_;      ///< overlay members, insertion order
+  std::unordered_set<SeqId> members_;  ///< overlay membership
   /// length -> members. A deque so growth never moves existing buckets:
   /// DomainViews handed out keep pointing at valid vectors.
   std::deque<std::vector<SeqId>> by_length_;

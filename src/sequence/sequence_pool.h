@@ -46,15 +46,15 @@ using SeqView = std::span<const Symbol>;
 ///    `size` only gate on the atomic `size_`: an id below the acquire-
 ///    loaded size names a fully published entry. This is the evaluator's
 ///    hottest read path (term evaluation, inverse-suffix matching,
-///    rendering), hit from every firing thread of a parallel round.
+///    rendering), hit from every concurrent evaluation.
 ///  * **Content lookups share a lock.** `Find` and the already-interned
 ///    fast path of `Intern` take `mu_` shared (the id map cannot be read
 ///    lock-free while a writer rehashes it); interning a *new* sequence
 ///    takes `mu_` exclusively and publishes the entry by storing the new
 ///    size with release ordering.
 ///
-/// Many threads may intern and resolve concurrently: parallel evaluation
-/// rounds pre-intern the subsequence spans they derive while snapshot
+/// Many threads may intern and resolve concurrently: evaluations over
+/// shared snapshots intern the sequences they derive while snapshot
 /// readers render results. One pool per Engine.
 class SequencePool {
  public:

@@ -77,7 +77,7 @@ struct ServerOptions {
   /// Default per-request deadline in ms (0 = none); sessions override
   /// with the DEADLINE verb.
   uint64_t default_deadline_ms = 0;
-  /// Evaluation options for EXEC/BATCH runs (thread count, budgets).
+  /// Evaluation options for EXEC/BATCH runs (strategy, budgets).
   eval::EvalOptions eval;
   /// Live ingest: when true (default) the server runs an
   /// ivm::Republisher that owns all engine mutations — FACT/INGEST

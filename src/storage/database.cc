@@ -1,10 +1,6 @@
 #include "storage/database.h"
 
-#include <algorithm>
-#include <chrono>
-
 #include "base/string_util.h"
-#include "base/thread_pool.h"
 
 namespace seqlog {
 
@@ -104,142 +100,14 @@ Status Database::MergeFrom(
         << "MergeFrom across catalogs: arity " << rel->arity() << " != "
         << target->arity() << " for predicate '" << catalog_->Name(pred)
         << "'";
-    // Round-barrier merges arrive as many medium-sized scratches; sizing
-    // the destination for the incoming rows up front keeps the hash
-    // indexes from rehashing inside the single-writer section.
+    // Sizing the destination for the incoming rows up front keeps the
+    // hash indexes from rehashing once per growth step.
     target->Reserve(rel->size());
     for (uint32_t i = 0; i < rel->size(); ++i) {
       TupleView row = rel->RowAt(i);
       if (!target->Insert(row)) continue;
       SEQLOG_RETURN_IF_ERROR(on_new(pred, row));
     }
-  }
-  return Status::Ok();
-}
-
-Status Database::MergeFromAll(
-    std::span<const Database* const> sources, ThreadPool* pool,
-    const std::function<Status(PredId, TupleView, size_t)>& on_new,
-    double* row_merge_millis) {
-  const auto row_merge_start = std::chrono::steady_clock::now();
-  // Serial pre-pass: create every target relation (relations_ growth is
-  // not thread-safe), check arities and size the shards for the incoming
-  // rows so the fanned-out inserts never rehash.
-  struct PredWork {
-    PredId pred;
-    Relation* target;
-  };
-  std::vector<PredWork> preds;
-  size_t num_preds = 0;
-  for (const Database* src : sources) {
-    num_preds = std::max(num_preds, src->relations_.size());
-  }
-  for (PredId pred = 0; pred < num_preds; ++pred) {
-    size_t incoming = 0;
-    for (const Database* src : sources) {
-      const Relation* rel = src->Get(pred);
-      if (rel != nullptr) incoming += rel->size();
-    }
-    if (incoming == 0) continue;
-    Relation* target = GetOrCreate(pred);
-    for (const Database* src : sources) {
-      const Relation* rel = src->Get(pred);
-      SEQLOG_CHECK(rel == nullptr || rel->arity() == target->arity())
-          << "MergeFromAll across catalogs: arity "
-          << (rel != nullptr ? rel->arity() : 0) << " != "
-          << target->arity() << " for predicate '" << catalog_->Name(pred)
-          << "'";
-    }
-    target->Reserve(incoming);
-    preds.push_back(PredWork{pred, target});
-  }
-  // One work item per (predicate, shard): a source row in shard s routes
-  // to target shard s (same first-column hash), so items never share a
-  // writer-side shard and run lock-free. Each item records the rows that
-  // turned out new, keyed for the deterministic replay below.
-  struct NewRow {
-    uint32_t src;
-    PredId pred;
-    uint32_t src_pos;  ///< scan position in the source relation
-    RowId id;          ///< detached row in the target relation
-  };
-  struct Item {
-    uint32_t pred_idx;
-    uint32_t shard;
-    std::vector<NewRow> rows;
-  };
-  std::vector<Item> items;
-  items.reserve(preds.size() * Relation::kNumShards);
-  for (uint32_t pi = 0; pi < preds.size(); ++pi) {
-    for (uint32_t shard = 0; shard < Relation::kNumShards; ++shard) {
-      for (const Database* src : sources) {
-        const Relation* rel = src->Get(preds[pi].pred);
-        if (rel != nullptr && rel->ShardSize(shard) != 0) {
-          items.push_back(Item{pi, shard, {}});
-          break;
-        }
-      }
-    }
-  }
-  auto run_item = [&](size_t i) {
-    Item& item = items[i];
-    const PredId pred = preds[item.pred_idx].pred;
-    Relation* target = preds[item.pred_idx].target;
-    for (uint32_t si = 0; si < sources.size(); ++si) {
-      const Relation* rel = sources[si]->Get(pred);
-      if (rel == nullptr) continue;
-      const size_t n = rel->ShardSize(item.shard);
-      for (uint32_t local = 0; local < n; ++local) {
-        TupleView row = rel->ShardRow(item.shard, local);
-        std::optional<RowId> id = target->InsertDetached(row);
-        if (!id.has_value()) continue;
-        SEQLOG_DCHECK(Relation::ShardOfId(*id) == item.shard);
-        item.rows.push_back(
-            NewRow{si, pred,
-                   rel->PositionOf(Relation::MakeRowId(item.shard, local)),
-                   *id});
-      }
-    }
-  };
-  if (pool != nullptr && items.size() > 1) {
-    pool->ParallelFor(items.size(), run_item);
-  } else {
-    for (size_t i = 0; i < items.size(); ++i) run_item(i);
-  }
-  // Deterministic replay order: exactly what the sequential per-source
-  // MergeFrom loop produces — source-major, predicate id ascending, then
-  // source scan position. The key is unique per row, so the sort result
-  // does not depend on item order or pool schedule.
-  std::vector<NewRow> new_rows;
-  size_t total_new = 0;
-  for (const Item& item : items) total_new += item.rows.size();
-  new_rows.reserve(total_new);
-  for (const Item& item : items) {
-    new_rows.insert(new_rows.end(), item.rows.begin(), item.rows.end());
-  }
-  std::sort(new_rows.begin(), new_rows.end(),
-            [](const NewRow& a, const NewRow& b) {
-              if (a.src != b.src) return a.src < b.src;
-              if (a.pred != b.pred) return a.pred < b.pred;
-              return a.src_pos < b.src_pos;
-            });
-  if (row_merge_millis != nullptr) {
-    *row_merge_millis += std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() -
-                             row_merge_start)
-                             .count();
-  }
-  // Serial commit + callback replay (single writer per relation again).
-  PredId cached_pred = 0;
-  Relation* cached_rel = nullptr;
-  for (const NewRow& row : new_rows) {
-    if (cached_rel == nullptr || row.pred != cached_pred) {
-      cached_pred = row.pred;
-      cached_rel = GetOrCreate(row.pred);
-    }
-    cached_rel->CommitRow(row.id);
-    SEQLOG_RETURN_IF_ERROR(
-        on_new(row.pred, cached_rel->RowById(row.id), row.src));
   }
   return Status::Ok();
 }

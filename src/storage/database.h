@@ -15,7 +15,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "base/result.h"
@@ -23,8 +22,6 @@
 #include "storage/relation.h"
 
 namespace seqlog {
-
-class ThreadPool;
 
 /// A set of ground atoms, organised per predicate.
 class Database {
@@ -71,41 +68,16 @@ class Database {
   /// (copy-on-publish): the clone is immutable-by-convention afterwards.
   std::unique_ptr<Database> Clone() const;
 
-  /// Merge endpoint of the parallel evaluator's round barrier
-  /// (eval/engine.cc): inserts every atom of `src` (same catalog —
-  /// CHECKed via arity like Insert) in src's deterministic iteration
-  /// order, invoking `on_new` for exactly the atoms that were not
-  /// already present. Returns the first non-OK status from `on_new`
-  /// (the database then holds everything merged up to that atom, which
-  /// is fine: callers abort evaluation on error). Merging thread-local
-  /// scratch databases task-by-task through this API gives the same
-  /// model as the serial shared-scratch path, because relations are
-  /// sets and `on_new` fires once per distinct new atom.
+  /// Merge endpoint of the evaluator's round barrier (eval/engine.cc):
+  /// inserts every atom of `src` (same catalog — CHECKed via arity like
+  /// Insert) in src's iteration order (predicate id, then scan
+  /// position), invoking `on_new` for exactly the atoms that were not
+  /// already present. Returns the first non-OK status from `on_new`; the
+  /// database then holds everything merged up to and including that
+  /// atom, which is fine: callers abort evaluation on error.
   Status MergeFrom(
       const Database& src,
       const std::function<Status(PredId, TupleView)>& on_new);
-
-  /// Shard-parallel form of MergeFrom over several sources at once: the
-  /// row merge (dedup probe, row append, index maintenance) fans out
-  /// over `pool` with one work item per (predicate, shard) pair — rows
-  /// route by first column, so a source shard merges into exactly the
-  /// same target shard and no two items ever write the same shard. The
-  /// new rows are then committed to each relation's scan order and
-  /// `on_new(pred, row, source_index)` replayed serially in exactly the
-  /// order the sequential `MergeFrom(sources[0]) ... MergeFrom(back())`
-  /// loop would produce (source-major, then predicate id, then source
-  /// row position) — callers observe a bit-identical model and callback
-  /// stream at every pool width, including `pool == nullptr` (the items
-  /// then run inline). `row_merge_millis`, when non-null, accumulates
-  /// the wall time of the fanned-out row-merge phase, excluding the
-  /// serial replay; the evaluator reports it as
-  /// EvalStats::relation_merge_millis. On a non-OK `on_new` the
-  /// remaining new rows are left uncommitted (invisible to scans) —
-  /// callers abort evaluation on error, as with MergeFrom.
-  Status MergeFromAll(
-      std::span<const Database* const> sources, ThreadPool* pool,
-      const std::function<Status(PredId, TupleView, size_t)>& on_new,
-      double* row_merge_millis = nullptr);
 
   /// Ids of predicates that have a (possibly empty) relation.
   std::vector<PredId> PredicatesWithRelations() const;

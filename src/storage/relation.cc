@@ -1,109 +1,45 @@
 #include "storage/relation.h"
 
 #include <algorithm>
-#include <mutex>
 
 namespace seqlog {
 
-Relation::Relation(size_t arity) : arity_(arity) {
-  for (Shard& s : shards_) {
-    s.col_index.resize(arity_);
-  }
-}
+Relation::Relation(size_t arity) : arity_(arity), col_index_(arity) {}
 
 void Relation::Reserve(size_t rows) {
-  order_.reserve(order_.size() + rows);
-  // Distribute across shards instead of sizing every shard for the full
-  // amount: ~rows/kNumShards each, with 25% slack (plus a small floor)
-  // for hash imbalance. A missed guess costs one rehash; reserving the
-  // total per shard costs 8x the memory of the flat layout.
-  const size_t per_shard = rows / kNumShards + rows / (4 * kNumShards) + 4;
-  for (Shard& s : shards_) {
-    const size_t total = s.global_pos.size() + per_shard;
-    s.rows.reserve(total * arity_);
-    s.global_pos.reserve(total);
-    s.dedup.reserve(total);
-    for (auto& index : s.col_index) index.reserve(total);
-  }
-}
-
-std::optional<RowId> Relation::InsertIntoShard(size_t shard_idx,
-                                               TupleView tuple) {
-  Shard& s = shards_[shard_idx];
-  size_t h = HashSpan(tuple);
-  auto& bucket = s.dedup[h];
-  for (uint32_t local : bucket) {
-    TupleView existing(
-        s.rows.data() + static_cast<size_t>(local) * arity_, arity_);
-    if (std::equal(existing.begin(), existing.end(), tuple.begin())) {
-      return std::nullopt;
-    }
-  }
-  const uint32_t local = static_cast<uint32_t>(s.global_pos.size());
-  SEQLOG_CHECK(local <= kLocalMask)
-      << "relation shard overflow: " << local << " rows in one shard";
-  s.rows.insert(s.rows.end(), tuple.begin(), tuple.end());
-  s.global_pos.push_back(kUncommitted);
-  bucket.push_back(local);
-  const RowId id = MakeRowId(shard_idx, local);
-  for (size_t c = 0; c < arity_; ++c) {
-    s.col_index[c][tuple[c]].push_back(id);
-  }
-  return id;
+  const size_t total = size_ + rows;
+  rows_.reserve(total * arity_);
+  dedup_.reserve(total);
+  for (auto& index : col_index_) index.reserve(total);
 }
 
 bool Relation::Insert(TupleView tuple) {
-  std::optional<RowId> id = InsertDetached(tuple);
-  if (!id.has_value()) return false;
-  CommitRow(*id);
-  return true;
-}
-
-std::optional<RowId> Relation::InsertDetached(TupleView tuple) {
   SEQLOG_CHECK(tuple.size() == arity_)
       << "tuple arity " << tuple.size() << " != relation arity " << arity_;
-  return InsertIntoShard(ShardForTuple(tuple), tuple);
-}
-
-std::optional<RowId> Relation::InsertDetachedLocked(TupleView tuple) {
-  SEQLOG_CHECK(tuple.size() == arity_)
-      << "tuple arity " << tuple.size() << " != relation arity " << arity_;
-  const size_t shard_idx = ShardForTuple(tuple);
-  std::unique_lock lock(shards_[shard_idx].mu);
-  return InsertIntoShard(shard_idx, tuple);
-}
-
-void Relation::CommitRow(RowId id) {
-  Shard& s = shards_[ShardOfId(id)];
-  SEQLOG_DCHECK(LocalOfId(id) < s.global_pos.size());
-  SEQLOG_DCHECK(s.global_pos[LocalOfId(id)] == kUncommitted);
-  s.global_pos[LocalOfId(id)] = static_cast<uint32_t>(order_.size());
-  order_.push_back(id);
-}
-
-size_t Relation::CommitAllDetached() {
-  size_t committed = 0;
-  for (size_t shard = 0; shard < kNumShards; ++shard) {
-    Shard& s = shards_[shard];
-    for (uint32_t local = 0; local < s.global_pos.size(); ++local) {
-      if (s.global_pos[local] != kUncommitted) continue;
-      s.global_pos[local] = static_cast<uint32_t>(order_.size());
-      order_.push_back(MakeRowId(shard, local));
-      ++committed;
+  auto& bucket = dedup_[HashSpan(tuple)];
+  for (RowId pos : bucket) {
+    TupleView existing = RowAt(pos);
+    if (std::equal(existing.begin(), existing.end(), tuple.begin())) {
+      return false;
     }
   }
-  return committed;
+  SEQLOG_CHECK(size_ < UINT32_MAX)
+      << "relation overflow: " << size_ << " rows";
+  const RowId pos = static_cast<RowId>(size_++);
+  rows_.insert(rows_.end(), tuple.begin(), tuple.end());
+  bucket.push_back(pos);
+  for (size_t c = 0; c < arity_; ++c) {
+    col_index_[c][tuple[c]].push_back(pos);
+  }
+  return true;
 }
 
 bool Relation::Contains(TupleView tuple) const {
   if (tuple.size() != arity_) return false;
-  const Shard& s = shards_[ShardForTuple(tuple)];
-  size_t h = HashSpan(tuple);
-  auto it = s.dedup.find(h);
-  if (it == s.dedup.end()) return false;
-  for (uint32_t local : it->second) {
-    TupleView existing(
-        s.rows.data() + static_cast<size_t>(local) * arity_, arity_);
+  auto it = dedup_.find(HashSpan(tuple));
+  if (it == dedup_.end()) return false;
+  for (RowId pos : it->second) {
+    TupleView existing = RowAt(pos);
     if (std::equal(existing.begin(), existing.end(), tuple.begin())) {
       return true;
     }
@@ -111,43 +47,19 @@ bool Relation::Contains(TupleView tuple) const {
   return false;
 }
 
-Relation::Candidates Relation::RowsWithValue(size_t col, SeqId value) const {
+std::span<const RowId> Relation::RowsWithValue(size_t col,
+                                               SeqId value) const {
   SEQLOG_DCHECK(col < arity_);
-  Candidates out;
-  if (col == 0) {
-    // Rows partition by first column: one shard can hold matches.
-    const Shard& s = shards_[ShardForValue(value)];
-    auto it = s.col_index[col].find(value);
-    if (it != s.col_index[col].end() && !it->second.empty()) {
-      out.lists[out.num_lists++] = &it->second;
-      out.total = it->second.size();
-    }
-    return out;
-  }
-  for (const Shard& s : shards_) {
-    auto it = s.col_index[col].find(value);
-    if (it != s.col_index[col].end() && !it->second.empty()) {
-      out.lists[out.num_lists++] = &it->second;
-      out.total += it->second.size();
-    }
-  }
-  return out;
+  auto it = col_index_[col].find(value);
+  if (it == col_index_[col].end()) return {};
+  return it->second;
 }
 
 void Relation::Clear() {
-  order_.clear();
-  for (Shard& s : shards_) {
-    s.rows.clear();
-    s.global_pos.clear();
-    s.dedup.clear();
-    for (auto& index : s.col_index) index.clear();
-  }
-}
-
-std::vector<SeqId> Relation::ShardSnapshotLocked(size_t shard) const {
-  const Shard& s = shards_[shard];
-  std::shared_lock lock(s.mu);
-  return s.rows;
+  size_ = 0;
+  rows_.clear();
+  dedup_.clear();
+  for (auto& index : col_index_) index.clear();
 }
 
 }  // namespace seqlog

@@ -2,22 +2,14 @@
 //
 // A relation of arity k is a duplicate-free set of k-tuples of SeqIds
 // (Section 2.2: finite subsets of the k-fold product of Sigma*). Rows
-// are hash-partitioned by their first column into kNumShards shards;
-// each shard owns its flattened row storage, its dedup table and its
-// per-column hash indexes, so the round barrier can merge one writer
-// per shard with no cross-shard synchronization. A single global
-// insertion-order array (`order_`) preserves the flat relation's scan
-// order: positional iteration, delta row ranges and snapshot watermarks
-// behave exactly as they did before sharding, independent of how SeqId
-// values hash, so the evaluated model stays bit-identical at every
-// thread width.
+// live in one flattened row-major vector in insertion order, next to a
+// dedup table and one hash index per column. A row's RowId is its scan
+// position, so positional iteration, index probes and snapshot
+// watermarks all see the same append-only order.
 #ifndef SEQLOG_STORAGE_RELATION_H_
 #define SEQLOG_STORAGE_RELATION_H_
 
-#include <array>
 #include <cstdint>
-#include <optional>
-#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -31,170 +23,55 @@ namespace seqlog {
 /// Tuple view into a relation's row storage.
 using TupleView = std::span<const SeqId>;
 
-/// Stable handle to a row inside a sharded relation: the shard index in
-/// the top bits, the row's slot within that shard in the low bits.
+/// A row's scan position inside its relation.
 using RowId = uint32_t;
 
-/// A set of SeqId tuples, hash-partitioned into shards by first column,
-/// with per-shard per-column hash indexes and a global scan order.
+/// A set of SeqId tuples with per-column hash indexes, scanned in
+/// insertion order.
 class Relation {
  public:
-  static constexpr size_t kShardBits = 3;
-  static constexpr size_t kNumShards = size_t{1} << kShardBits;
-  static constexpr uint32_t kLocalBits = 32 - kShardBits;
-  static constexpr uint32_t kLocalMask = (uint32_t{1} << kLocalBits) - 1;
-
-  static constexpr size_t ShardOfId(RowId id) { return id >> kLocalBits; }
-  static constexpr uint32_t LocalOfId(RowId id) { return id & kLocalMask; }
-  static constexpr RowId MakeRowId(size_t shard, uint32_t local) {
-    return (static_cast<RowId>(shard) << kLocalBits) | local;
-  }
-  static constexpr size_t ShardCount() { return kNumShards; }
-
-  /// Per-shard row-id lists matching an index probe. Lists are disjoint
-  /// (one per shard) and each is ascending in global scan position.
-  /// Invalidated by any insert into the relation.
-  struct Candidates {
-    std::array<const std::vector<RowId>*, kNumShards> lists{};
-    uint32_t num_lists = 0;
-    size_t total = 0;
-    bool empty() const { return total == 0; }
-    size_t size() const { return total; }
-  };
-
   explicit Relation(size_t arity);
   Relation(const Relation&) = delete;
   Relation& operator=(const Relation&) = delete;
 
   size_t arity() const { return arity_; }
-  /// Number of committed (scan-visible) rows.
-  size_t size() const { return order_.size(); }
-  bool empty() const { return order_.empty(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  /// Pre-sizes row storage and hash indexes for about `rows` more
-  /// tuples, distributing the reservation across shards (each shard
-  /// reserves ~rows/kNumShards plus slack for hash imbalance, not the
-  /// full amount). Never shrinks; contents are unchanged.
+  /// Pre-sizes row storage and hash indexes for `rows` more tuples.
+  /// Never shrinks; contents are unchanged.
   void Reserve(size_t rows);
 
-  /// Inserts `tuple` and commits it to the scan order; returns true if
-  /// it was not already present. Single-writer (no locking).
+  /// Inserts `tuple`; returns true if it was not already present.
+  /// Single-writer (no locking).
   bool Insert(TupleView tuple);
 
-  /// Inserts `tuple` into its shard (rows, dedup, column indexes) but
-  /// does NOT append it to the global scan order; returns its RowId if
-  /// new, nullopt if duplicate. Safe to call concurrently from multiple
-  /// threads as long as each shard has at most one writer (rows route
-  /// by first column, so partitioned sources give that for free).
-  /// Detached rows are invisible to size()/RowAt()/PositionOf() until
-  /// CommitRow() runs on the owning thread.
-  std::optional<RowId> InsertDetached(TupleView tuple);
-
-  /// InsertDetached under the target shard's exclusive lock, for
-  /// writers that cannot guarantee shard-disjointness. Pair readers
-  /// with ShardSnapshotLocked; do not mix with the unlocked writers.
-  std::optional<RowId> InsertDetachedLocked(TupleView tuple);
-
-  /// Appends a detached row to the global scan order. Single-writer.
-  void CommitRow(RowId id);
-
-  /// Commits every detached row, shards in ascending order and rows in
-  /// per-shard insertion order. Single-writer. Returns rows committed.
-  size_t CommitAllDetached();
-
-  /// True if `tuple` is present (committed or detached).
+  /// True if `tuple` is present.
   bool Contains(TupleView tuple) const;
 
   /// Returns the row at scan position `pos` (0 <= pos < size()).
-  /// Positions are stable and append-only, exactly as in the flat
-  /// pre-shard layout.
-  TupleView RowAt(uint32_t pos) const {
-    SEQLOG_DCHECK(pos < order_.size());
-    return RowById(order_[pos]);
+  /// Positions are stable and append-only.
+  TupleView RowAt(RowId pos) const {
+    SEQLOG_DCHECK(pos < size_);
+    return TupleView(rows_.data() + static_cast<size_t>(pos) * arity_,
+                     arity_);
   }
 
-  /// Row id at scan position `pos`.
-  RowId IdAt(uint32_t pos) const {
-    SEQLOG_DCHECK(pos < order_.size());
-    return order_[pos];
-  }
-
-  /// Returns the row stored under `id` (committed or detached).
-  TupleView RowById(RowId id) const {
-    const Shard& s = shards_[ShardOfId(id)];
-    return TupleView(
-        s.rows.data() + static_cast<size_t>(LocalOfId(id)) * arity_, arity_);
-  }
-
-  /// Scan position of a committed row.
-  uint32_t PositionOf(RowId id) const {
-    const Shard& s = shards_[ShardOfId(id)];
-    SEQLOG_DCHECK(LocalOfId(id) < s.global_pos.size());
-    uint32_t pos = s.global_pos[LocalOfId(id)];
-    SEQLOG_DCHECK(pos != kUncommitted);
-    return pos;
-  }
-
-  /// Row ids whose column `col` equals `value`, grouped per shard. A
-  /// probe on column 0 touches exactly one shard (rows partition by
-  /// first column); other columns may return up to kNumShards lists.
-  Candidates RowsWithValue(size_t col, SeqId value) const;
+  /// Positions of the rows whose column `col` equals `value`, ascending.
+  /// Invalidated by any insert into the relation.
+  std::span<const RowId> RowsWithValue(size_t col, SeqId value) const;
 
   /// Removes all tuples (keeps arity). Used for delta swapping.
   void Clear();
 
-  /// Rows stored in `shard` (committed + detached).
-  size_t ShardSize(size_t shard) const {
-    return shards_[shard].global_pos.size();
-  }
-  /// Row capacity currently reserved in `shard`.
-  size_t ShardCapacity(size_t shard) const {
-    return arity_ == 0 ? shards_[shard].global_pos.capacity()
-                       : shards_[shard].rows.capacity() / arity_;
-  }
-  /// Row `local` of `shard`, in per-shard insertion order.
-  TupleView ShardRow(size_t shard, uint32_t local) const {
-    return RowById(MakeRowId(shard, local));
-  }
-  /// Shard that `tuple` routes to.
-  size_t ShardForTuple(TupleView tuple) const {
-    return arity_ == 0 ? 0 : ShardForValue(tuple[0]);
-  }
-
-  /// Copies `shard`'s rows (flattened, per-shard insertion order) under
-  /// its shared lock. Pairs with InsertDetachedLocked for concurrent
-  /// reader/writer use; the copy is always a prefix-consistent view.
-  std::vector<SeqId> ShardSnapshotLocked(size_t shard) const;
-
  private:
-  static constexpr uint32_t kUncommitted = 0xFFFFFFFFu;
-
-  static size_t ShardForValue(SeqId value) {
-    // Fibonacci multiplicative mix; the raw SeqId low bits are dense
-    // pool slots and would lump consecutive interns into one shard.
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(value) * 0x9E3779B97F4A7C15ull) >>
-        (64 - kShardBits));
-  }
-
-  struct Shard {
-    std::vector<SeqId> rows;  // flattened row-major
-    // local slot -> global scan position (kUncommitted while detached).
-    std::vector<uint32_t> global_pos;
-    // Dedup: tuple hash -> candidate local slots (chaining on collisions).
-    std::unordered_map<size_t, std::vector<uint32_t>> dedup;
-    // Column indexes: for each column, value -> encoded RowIds.
-    std::vector<std::unordered_map<SeqId, std::vector<RowId>>> col_index;
-    // Taken only by the *Locked entry points; the single-writer paths
-    // rely on phase discipline instead (docs/CONCURRENCY.md).
-    mutable std::shared_mutex mu;
-  };
-
-  std::optional<RowId> InsertIntoShard(size_t shard_idx, TupleView tuple);
-
   size_t arity_;
-  std::array<Shard, kNumShards> shards_;
-  std::vector<RowId> order_;  // committed rows in insertion order
+  size_t size_ = 0;
+  std::vector<SeqId> rows_;  // flattened row-major
+  // Dedup: tuple hash -> candidate positions (chaining on collisions).
+  std::unordered_map<size_t, std::vector<RowId>> dedup_;
+  // Column indexes: for each column, value -> positions.
+  std::vector<std::unordered_map<SeqId, std::vector<RowId>>> col_index_;
 };
 
 }  // namespace seqlog

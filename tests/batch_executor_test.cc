@@ -5,10 +5,9 @@
 // same rows, same order, same per-item status — while paying for ONE
 // semi-naive run instead of N (stats.evaluations proves the
 // amortisation). Parity is checked across the paper workloads (suffix
-// membership, the genome pipeline, the text index) at 1, 2 and 8
-// evaluation threads, plus the edge cases: empty batches, duplicate
-// bindings (seed relations are sets), EDB goals, per-item failures, and
-// cross-query fusion.
+// membership, the genome pipeline, the text index), plus the edge
+// cases: empty batches, duplicate bindings (seed relations are sets),
+// EDB goals, per-item failures, and cross-query fusion.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -34,12 +33,11 @@ void RegisterGenomeMachines(Engine* engine) {
   ASSERT_TRUE(engine->RegisterTransducer(translate.value()).ok());
 }
 
-/// Runs one single-query batch over `probes` at `threads` and checks
-/// every item against its independent ExecuteWith oracle.
+/// Runs one single-query batch over `probes` and checks every item
+/// against its independent ExecuteWith oracle.
 void ExpectParity(Engine* engine, const char* goal,
-                  const std::vector<std::string>& probes, size_t threads) {
-  SCOPED_TRACE(std::string(goal) + " at " + std::to_string(threads) +
-               " thread(s)");
+                  const std::vector<std::string>& probes) {
+  SCOPED_TRACE(goal);
   Result<PreparedQuery> prepared = engine->Prepare(goal);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   Snapshot snapshot = engine->PublishSnapshot();
@@ -53,7 +51,6 @@ void ExpectParity(Engine* engine, const char* goal,
   }
 
   query::SolveOptions options;
-  options.eval.num_threads = threads;
   serve::BatchResult result = batch.Execute(snapshot, items, options);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   ASSERT_EQ(result.results.size(), probes.size());
@@ -83,9 +80,7 @@ TEST(BatchExecutor, SuffixParityAcrossThreadCounts) {
   std::vector<std::string> probes = {"acgt",    "gggg", "t", "zz",
                                      "",        "gattaca", "attaca",
                                      "acgtacgt", "cgt",  "x"};
-  for (size_t threads : {1u, 2u, 8u}) {
-    ExpectParity(&engine, "?- suffix($1).", probes, threads);
-  }
+  ExpectParity(&engine, "?- suffix($1).", probes);
 }
 
 TEST(BatchExecutor, GenomeParityAcrossThreadCounts) {
@@ -99,9 +94,7 @@ TEST(BatchExecutor, GenomeParityAcrossThreadCounts) {
   }
   std::vector<std::string> probes = dna;
   probes.push_back("acacac");  // miss: not in the database
-  for (size_t threads : {1u, 2u, 8u}) {
-    ExpectParity(&engine, "?- rnaseq($1, X).", probes, threads);
-  }
+  ExpectParity(&engine, "?- rnaseq($1, X).", probes);
 }
 
 TEST(BatchExecutor, TextIndexParityAcrossThreadCounts) {
@@ -112,9 +105,7 @@ TEST(BatchExecutor, TextIndexParityAcrossThreadCounts) {
   }
   std::vector<std::string> probes = {"abab", "baba", "aabb", "bbbb",
                                      "ab"};
-  for (size_t threads : {1u, 2u, 8u}) {
-    ExpectParity(&engine, "?- hit($1, D).", probes, threads);
-  }
+  ExpectParity(&engine, "?- hit($1, D).", probes);
 }
 
 TEST(BatchExecutor, EmptyBatchIsOkAndFree) {

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/programs.h"
+#include "transducer/genome.h"
+#include "transducer/network.h"
 
 namespace seqlog {
 namespace {
@@ -148,6 +152,74 @@ TEST(Concurrency, ManySnapshotsManyGoalsInFlight) {
   }
   for (std::thread& th : readers) th.join();
   EXPECT_EQ(errors.load(), 0u);
+}
+
+TEST(Concurrency, CompiledNetworkSharedByConcurrentExecutions) {
+  // One compiled, fused network (transcribe then translate) runs inside
+  // many concurrent evaluations of one prepared goal; every reader must
+  // see the single-threaded answers.
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRounds = 10;
+
+  Engine engine;
+  SymbolTable* syms = engine.symbols();
+  auto transcribe = transducer::MakeTranscribe("t", syms);
+  auto translate = transducer::MakeTranslate("tr", syms);
+  ASSERT_TRUE(transcribe.ok() && translate.ok());
+  auto net = std::make_shared<transducer::TransducerNetwork>("rnapipe", 1);
+  auto n0 = net->AddNode(transcribe.value(),
+                         {transducer::InputSource::FromNetwork(0)});
+  ASSERT_TRUE(n0.ok());
+  auto n1 = net->AddNode(translate.value(),
+                         {transducer::InputSource::FromNode(*n0)});
+  ASSERT_TRUE(n1.ok());
+  ASSERT_TRUE(net->SetOutput(*n1).ok());
+  const std::vector<Symbol> dna_alphabet = {
+      syms->Intern("a"), syms->Intern("c"), syms->Intern("g"),
+      syms->Intern("t")};
+  ASSERT_TRUE(net->Compile(dna_alphabet).ok());
+  ASSERT_TRUE(net->compiled());
+  ASSERT_TRUE(engine.RegisterTransducer(net).ok());
+  ASSERT_TRUE(
+      engine.LoadProgram("protein(D, @rnapipe(D)) :- dnaseq(D).").ok());
+
+  std::vector<std::optional<SeqId>> probes;
+  for (size_t i = 0; i < 16; ++i) {
+    const std::string d = Dna(i + 7, 24);
+    ASSERT_TRUE(engine.AddFact("dnaseq", {d}).ok());
+    probes.push_back(engine.pool()->FromChars(d, syms));
+  }
+  Result<PreparedQuery> prepared = engine.Prepare("?- protein($1, P).");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  Snapshot snapshot = engine.PublishSnapshot();
+
+  std::vector<RowList> expected;
+  for (const auto& probe : probes) {
+    ResultSet rs = prepared->ExecuteWith(snapshot, {probe});
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    expected.push_back(rs.Materialize());
+    ASSERT_EQ(expected.back().size(), 1u);
+  }
+
+  std::atomic<size_t> errors{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        const size_t i = (t + round) % probes.size();
+        ResultSet rs = prepared->ExecuteWith(snapshot, {probes[i]});
+        if (!rs.ok() || rs.Materialize() != expected[i]) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(errors.load(), 0u);
+  TransducerStats stats;
+  net->CollectStats(&stats);
+  EXPECT_GE(stats.compiled_node_runs, kThreads * kRounds);
 }
 
 }  // namespace

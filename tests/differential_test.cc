@@ -3,10 +3,7 @@
 // over a small EDB alphabet, an independent reference evaluator (naive
 // fixpoint over plain string sets, no sharing with src/) computes the
 // expected model, and every generated program is checked bit-identical
-// across thread widths 1/2/8 — with the parallel fan-out and the
-// shard-parallel merge barrier forced on via
-// EvalOptions::min_parallel_work = 1 — plus the naive and stratified
-// strategy oracles.
+// against it, plus the naive and stratified strategy oracles.
 //
 // Flags (also usable for CI soak runs, .github/workflows/soak.yml):
 //   --seed=N    base seed of the corpus (default: fixed corpus)
@@ -199,8 +196,8 @@ std::string RenderProgram(const GenProgram& prog) {
 
 // ---------------------------------------------------------------------
 // Reference evaluator: naive fixpoint over sets of string tuples. No
-// SeqIds, no relations, no sharing with src/ — the pre-shard (indeed
-// pre-everything) model the engine must reproduce.
+// SeqIds, no relations, no sharing with src/ — the model the engine
+// must reproduce.
 // ---------------------------------------------------------------------
 
 using RefModel = std::map<int, std::set<std::vector<std::string>>>;
@@ -274,8 +271,7 @@ void LogFailingSeed(uint64_t seed) {
 /// Evaluates `prog` in a fresh Engine and returns the sorted rendered
 /// rows per predicate index, or nullopt (with a test failure) on error.
 std::optional<std::vector<std::vector<RenderedRow>>> RunEngine(
-    const GenProgram& prog, const eval::EvalOptions& options,
-    eval::EvalStats* stats) {
+    const GenProgram& prog, const eval::EvalOptions& options) {
   Engine engine;
   Status s = engine.LoadProgram(RenderProgram(prog));
   EXPECT_TRUE(s.ok()) << s.ToString() << "\n" << RenderProgram(prog);
@@ -289,7 +285,6 @@ std::optional<std::vector<std::vector<RenderedRow>>> RunEngine(
   eval::EvalOutcome outcome = engine.Evaluate(options);
   EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   if (!outcome.status.ok()) return std::nullopt;
-  if (stats != nullptr) *stats = outcome.stats;
   std::vector<std::vector<RenderedRow>> per_pred;
   for (const Pred& pred : prog.preds) {
     Result<std::vector<RenderedRow>> rows = engine.Query(pred.name);
@@ -316,8 +311,9 @@ std::vector<std::vector<RenderedRow>> RefRows(const GenProgram& prog,
   return per_pred;
 }
 
-/// One generated program checked across widths and strategies; returns
-/// false (after logging the seed) on any mismatch.
+/// One generated program checked against the reference, and with
+/// `strategy_oracles` also under the naive and stratified strategies;
+/// returns false (after logging the seed) on any mismatch.
 bool CheckSeed(uint64_t seed, bool strategy_oracles) {
   const GenProgram prog = Generate(seed);
   const RefModel ref_model = RefEvaluate(prog);
@@ -325,50 +321,21 @@ bool CheckSeed(uint64_t seed, bool strategy_oracles) {
       RefRows(prog, ref_model);
 
   bool ok = true;
-  eval::EvalStats serial_stats;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    eval::EvalOptions options;
-    options.num_threads = threads;
-    // Force even these tiny rounds through the parallel fan-out and the
-    // shard-parallel merge barrier; the production floor would keep
-    // them serial and test nothing new.
-    options.min_parallel_work = 1;
-    eval::EvalStats stats;
-    auto got = RunEngine(prog, options, &stats);
-    if (!got.has_value()) return false;
-    if (*got != expected) {
-      ADD_FAILURE() << "model mismatch vs reference at threads="
-                    << threads << " seed=" << seed << "\n"
-                    << RenderProgram(prog);
-      ok = false;
-    }
-    if (threads == 1) {
-      serial_stats = stats;
-    } else {
-      // The counters the parallel contract pins across widths.
-      EXPECT_EQ(stats.facts, serial_stats.facts) << "seed=" << seed;
-      EXPECT_EQ(stats.iterations, serial_stats.iterations)
-          << "seed=" << seed;
-      EXPECT_EQ(stats.derivations, serial_stats.derivations)
-          << "seed=" << seed;
-      EXPECT_EQ(stats.domain_sequences, serial_stats.domain_sequences)
-          << "seed=" << seed;
-      ok = ok && stats.facts == serial_stats.facts &&
-           stats.iterations == serial_stats.iterations &&
-           stats.derivations == serial_stats.derivations &&
-           stats.domain_sequences == serial_stats.domain_sequences;
-    }
+  auto got = RunEngine(prog, eval::EvalOptions{});
+  if (!got.has_value()) return false;
+  if (*got != expected) {
+    ADD_FAILURE() << "model mismatch vs reference seed=" << seed << "\n"
+                  << RenderProgram(prog);
+    ok = false;
   }
   if (strategy_oracles) {
     for (auto strategy :
          {eval::Strategy::kNaive, eval::Strategy::kStratified}) {
       eval::EvalOptions options;
       options.strategy = strategy;
-      options.num_threads = strategy == eval::Strategy::kNaive ? 1 : 8;
-      options.min_parallel_work = 1;
-      auto got = RunEngine(prog, options, nullptr);
-      if (!got.has_value()) return false;
-      if (*got != expected) {
+      auto oracle = RunEngine(prog, options);
+      if (!oracle.has_value()) return false;
+      if (*oracle != expected) {
         ADD_FAILURE() << "model mismatch vs reference for strategy "
                       << (strategy == eval::Strategy::kNaive
                               ? "naive"
@@ -397,8 +364,8 @@ TEST(DifferentialTest, GeneratedProgramsMatchReferenceAtAllWidths) {
 
 TEST(DifferentialTest, StrategyOraclesAgreeOnCorpusPrefix) {
   // Naive and stratified re-evaluate everything each round — cap the
-  // corpus prefix so this stays cheap; the width sweep above covers the
-  // full corpus.
+  // corpus prefix so this stays cheap; the test above covers the full
+  // corpus.
   const size_t n = std::min<size_t>(g_iters, 50);
   for (size_t i = 0; i < n; ++i) {
     if (!CheckSeed(g_base_seed + i, /*strategy_oracles=*/true)) {

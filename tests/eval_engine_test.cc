@@ -254,6 +254,25 @@ TEST(EvalEngine, StatsReportFactsAndDomain) {
   EXPECT_GE(outcome.stats.millis, 0.0);
 }
 
+// The phase timers split a run: each phase is measured, and together
+// they stay within the total.
+TEST(EvalEngine, PhaseTimersAccountTheRun) {
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgram("p(X ++ X) :- r(X).").ok());
+  ASSERT_TRUE(engine.AddFact("r", {"abc"}).ok());
+  eval::EvalOutcome outcome = engine.Evaluate();
+  ASSERT_TRUE(outcome.status.ok());
+  const eval::EvalStats& stats = outcome.stats;
+  EXPECT_GT(stats.fire_millis, 0.0);
+  EXPECT_GT(stats.domain_load_millis, 0.0);
+  // abcabc is new to the domain, so the barrier closes it.
+  EXPECT_GT(stats.domain_merge_millis, 0.0);
+  EXPECT_GT(stats.relation_merge_millis, 0.0);
+  EXPECT_LE(stats.fire_millis + stats.domain_millis() +
+                stats.relation_merge_millis,
+            stats.millis);
+}
+
 TEST(EvalEngine, TransducerTermsInHeads) {
   Engine engine;
   auto square = transducer::MakeSquare("square");

@@ -20,6 +20,10 @@ struct Corpus {
   bool strongly_safe;                   // stratified applicable
 };
 
+// Without this, gtest prints a Corpus as a byte dump whose pointer bytes
+// change with every process (ASLR), and that dump is part of the ctest name.
+void PrintTo(const Corpus& corpus, std::ostream* os) { *os << corpus.name; }
+
 const Corpus kCorpus[] = {
     {"suffixes", programs::kSuffixes, {"suffix"}, true},
     {"concat_pairs", programs::kConcatPairs, {"answer"}, true},

@@ -6,8 +6,7 @@
 // any randomized insertion schedule, applied incrementally batch by
 // batch, must land on exactly the model a cold evaluation over the
 // union computes — same rows for every predicate, same extended active
-// domain size. Run under 1, 2 and 8 evaluation threads so the tsan job
-// doubles as the race probe for delta seeding + parallel rounds.
+// domain size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,18 +181,15 @@ void SetupEngine(Engine* engine, const ParityWorkload& w) {
 /// random batch sizes (with re-staged duplicates sprinkled in — no-op
 /// deltas must not disturb the fixpoint), then compare against one cold
 /// evaluation over everything.
-void CheckParity(const ParityWorkload& w, unsigned schedule_seed,
-                 size_t threads) {
+void CheckParity(const ParityWorkload& w, unsigned schedule_seed) {
   SCOPED_TRACE(std::string(w.name) + " seed=" +
-               std::to_string(schedule_seed) + " threads=" +
-               std::to_string(threads));
+               std::to_string(schedule_seed));
   std::vector<std::string> facts =
       RandomSeqs(w.fact_seed, w.fact_count, w.fact_len, w.alphabet);
   std::mt19937 rng(schedule_seed);
   std::shuffle(facts.begin(), facts.end(), rng);
 
   eval::EvalOptions options;
-  options.num_threads = threads;
 
   Engine cold;
   SetupEngine(&cold, w);
@@ -245,11 +241,9 @@ void CheckParity(const ParityWorkload& w, unsigned schedule_seed,
 
 TEST(IncrementalModelParity, RandomSchedulesMatchColdEvaluation) {
   for (const ParityWorkload& w : ParityWorkloads()) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (unsigned seed : {1u, 2u, 3u}) {
-        CheckParity(w, seed, threads);
-        if (HasFatalFailure()) return;
-      }
+    for (unsigned seed : {1u, 2u, 3u}) {
+      CheckParity(w, seed);
+      if (HasFatalFailure()) return;
     }
   }
 }

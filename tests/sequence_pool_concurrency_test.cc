@@ -2,8 +2,8 @@
 // (View/Length/Render/size gate on an atomic size over chunked storage)
 // must stay consistent while many writer threads intern overlapping
 // span sets. docs/CONCURRENCY.md documents the contract these tests
-// exercise; with parallel_eval_test.cc and concurrency_test.cc they are
-// a TSan CI target — any data race fails the tsan job.
+// exercise; with concurrency_test.cc they are a TSan CI target — any
+// data race fails the tsan job.
 #include <gtest/gtest.h>
 
 #include <atomic>

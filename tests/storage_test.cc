@@ -51,36 +51,12 @@ TEST(RelationTest, ReserveKeepsContentsAndIndexes) {
     r.Insert(std::vector<SeqId>{v, v + 1});
   }
   EXPECT_EQ(r.size(), 500u);  // {1, 2} was re-inserted, deduplicated
-  Relation::Candidates rows = r.RowsWithValue(1, 2);
+  std::span<const RowId> rows = r.RowsWithValue(1, 2);
   EXPECT_EQ(rows.size(), 1u);
 }
 
-TEST(RelationTest, ReserveDistributesAcrossShards) {
-  // Regression for the sharded layout: Reserve(n) must spread the
-  // reservation over the shards (~n/kNumShards each plus slack), not
-  // size every shard — let alone a single one — for all n rows.
-  Relation r(2);
-  constexpr size_t kRows = 4096;
-  r.Reserve(kRows);
-  const size_t per_shard = kRows / Relation::kNumShards;
-  size_t total_capacity = 0;
-  for (size_t s = 0; s < Relation::ShardCount(); ++s) {
-    EXPECT_GE(r.ShardCapacity(s), per_shard);
-    // Well under the full amount: distribution, not over-allocation.
-    EXPECT_LE(r.ShardCapacity(s), kRows / 2);
-    total_capacity += r.ShardCapacity(s);
-  }
-  EXPECT_GE(total_capacity, kRows);
-  // The reservation holds the advertised rows without losing anything.
-  for (SeqId i = 0; i < kRows; ++i) {
-    ASSERT_TRUE(r.Insert(std::vector<SeqId>{i, i + 1}));
-  }
-  EXPECT_EQ(r.size(), kRows);
-}
-
 TEST(RelationTest, ScanOrderIsInsertionOrder) {
-  // Scan positions are global insertion order, independent of which
-  // shard a row hashes into — the invariant delta row ranges and
+  // Scan positions are insertion order — the invariant index probes and
   // snapshot watermarks rely on.
   Relation r(2);
   for (SeqId i = 0; i < 100; ++i) {
@@ -90,7 +66,6 @@ TEST(RelationTest, ScanOrderIsInsertionOrder) {
     TupleView row = r.RowAt(pos);
     EXPECT_EQ(row[0], pos * 7 + 1);
     EXPECT_EQ(row[1], pos);
-    EXPECT_EQ(r.PositionOf(r.IdAt(pos)), pos);
   }
 }
 
@@ -99,10 +74,8 @@ TEST(RelationTest, ColumnIndexFindsRows) {
   r.Insert(std::vector<SeqId>{1, 10});
   r.Insert(std::vector<SeqId>{1, 20});
   r.Insert(std::vector<SeqId>{2, 10});
-  Relation::Candidates rows = r.RowsWithValue(0, 1);
+  std::span<const RowId> rows = r.RowsWithValue(0, 1);
   EXPECT_EQ(rows.size(), 2u);
-  // Rows partition by first column, so a column-0 probe is one shard.
-  EXPECT_EQ(rows.num_lists, 1u);
   rows = r.RowsWithValue(1, 10);
   EXPECT_EQ(rows.size(), 2u);
   EXPECT_TRUE(r.RowsWithValue(0, 99).empty());

@@ -26,7 +26,7 @@
 //
 // Output: a human summary, or with --json a single JSON object shaped
 // like a google-benchmark entry so bench/run_benches.sh can aggregate
-// it into BENCH_pr8.json. Exit 0 iff every request got a well-formed
+// it into its JSON output. Exit 0 iff every request got a well-formed
 // non-ERR reply.
 #include <cstdio>
 #include <cstdlib>

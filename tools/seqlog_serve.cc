@@ -46,7 +46,7 @@ int Usage() {
       "usage: seqlog-serve [--workload=genome|text|suffix] [--port=N]\n"
       "                    [--host=A.B.C.D] [--sessions=N]\n"
       "                    [--max-pending=N] [--deadline-ms=N]\n"
-      "                    [--eval-threads=N] [--ivm=0|1]\n"
+      "                    [--ivm=0|1]\n"
       "                    [--ingest-cadence-ms=N]\n"
       "                    [--ingest-threshold=N]\n");
   return 2;
@@ -74,8 +74,6 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--deadline-ms", &value)) {
       options.default_deadline_ms =
           static_cast<uint64_t>(std::atoll(value));
-    } else if (FlagValue(argv[i], "--eval-threads", &value)) {
-      options.eval.num_threads = static_cast<size_t>(std::atoi(value));
     } else if (FlagValue(argv[i], "--ivm", &value)) {
       options.live_ingest = std::atoi(value) != 0;
     } else if (FlagValue(argv[i], "--ingest-cadence-ms", &value)) {
