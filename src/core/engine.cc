@@ -177,19 +177,19 @@ Result<PreparedQuery> Engine::Prepare(std::string_view goal) {
 
 Snapshot Engine::PublishSnapshot() {
   if (published_ == nullptr || published_version_ != edb_version_) {
-    // Close the snapshot's sequences into a frozen domain once, here on
-    // the write path, so every Execute against it skips the closure (the
-    // dominant per-query cost on large databases). Incremental across
-    // publishes: facts are append-only (ClearFacts drops the cache), so
-    // the previous closure is cloned flat — cheap integer copies — and
-    // AddRoot below is O(1) for every already-closed root.
+    // Root the snapshot's sequences in a frozen domain once, here on the
+    // write path, so no Execute against it roots the database again.
+    // Incremental across publishes: facts are append-only (ClearFacts
+    // drops the cache), so the previous domain's automaton is cloned —
+    // a few vector copies — and AddRoot below only walks an
+    // already-rooted sequence.
     published_ = std::shared_ptr<const Database>(edb_->Clone());
     std::shared_ptr<ExtendedDomain> domain =
         published_domain_ != nullptr
             ? std::shared_ptr<ExtendedDomain>(published_domain_->CloneFlat())
             : std::make_shared<ExtendedDomain>(&pool_);
     // Facts are append-only (ClearFacts resets the cache), so only rows
-    // past the previous publish's per-relation watermark need closing.
+    // past the previous publish's per-relation watermark need rooting.
     for (PredId pred : published_->PredicatesWithRelations()) {
       const Relation* rel = published_->Get(pred);
       if (pred >= published_row_watermark_.size()) {

@@ -218,8 +218,8 @@ class Engine {
   /// Bumped on every EDB mutation; drives snapshot copy-on-publish.
   uint64_t edb_version_ = 0;
   /// Cache of the most recent publication (reused while unchanged). The
-  /// domain closure is incremental: per-relation row watermarks mark the
-  /// rows already closed at the previous publish (facts are append-only;
+  /// domain is built incrementally: per-relation row watermarks mark the
+  /// rows already rooted at the previous publish (facts are append-only;
   /// ClearFacts resets all three).
   std::shared_ptr<const Database> published_;
   std::shared_ptr<const ExtendedDomain> published_domain_;

@@ -49,10 +49,11 @@ class Snapshot {
   /// contents.
   uint64_t version() const { return version_; }
 
-  /// The frozen extended-active-domain closure of db()'s sequences,
-  /// computed once at publish. Evaluations against this snapshot layer
-  /// their private overlay on it (sequence/domain.h) instead of
-  /// re-closing the database per query — the snapshot fast path.
+  /// The frozen extended active domain of db()'s sequences, built once
+  /// at publish. Evaluations against this snapshot layer their private
+  /// overlay on it (sequence/domain.h) instead of rooting the database
+  /// per query — the snapshot fast path. Its enumeration is built on
+  /// the first read that needs it, once, under a lock.
   std::shared_ptr<const ExtendedDomain> domain_base() const {
     return domain_;
   }

@@ -338,6 +338,13 @@ Result<ClausePlan> CompileClause(const ast::Clause& clause,
     literals.push_back(std::move(step));
   }
 
+  auto note_read = [&plan](DomainRead read) {
+    plan.domain_read = std::max(plan.domain_read, read);
+  };
+  auto note_enumerated = [&](VarRef v) {
+    note_read(v.is_index ? DomainRead::kRange : DomainRead::kEnumeration);
+  };
+
   // Greedy bound-first scheduling.
   std::set<VarRef> bound;
   std::vector<bool> taken(literals.size(), false);
@@ -363,10 +370,17 @@ Result<ClausePlan> CompileClause(const ast::Clause& clause,
     chosen.modes = std::move(best_plan.modes);
     chosen.bind_side = best_plan.bind_side;
     if (!chosen.enum_vars.empty()) plan.domain_sensitive = true;
+    for (VarRef v : chosen.enum_vars) note_enumerated(v);
+    if (chosen.kind == LiteralStep::Kind::kEq && chosen.bind_side >= 0) {
+      note_read(DomainRead::kMembership);
+    }
     // Inverse-suffix args draw candidates from the domain's length
     // buckets, so domain growth alone can create new matches here too.
     for (ArgMode mode : chosen.modes) {
-      if (mode == ArgMode::kInverseSuffix) plan.domain_sensitive = true;
+      if (mode == ArgMode::kInverseSuffix) {
+        plan.domain_sensitive = true;
+        note_read(DomainRead::kEnumeration);
+      }
     }
     for (const auto& arg : chosen.args) {
       for (VarRef v : arg->vars) bound.insert(v);
@@ -388,15 +402,33 @@ Result<ClausePlan> CompileClause(const ast::Clause& clause,
   }
   plan.head_enum_vars.assign(head_unbound.begin(), head_unbound.end());
   if (!plan.head_enum_vars.empty()) plan.domain_sensitive = true;
+  for (VarRef v : plan.head_enum_vars) note_enumerated(v);
 
   return plan;
 }
+
+namespace {
+const char* DomainReadName(DomainRead read) {
+  switch (read) {
+    case DomainRead::kNone:
+      return "none";
+    case DomainRead::kRange:
+      return "range";
+    case DomainRead::kMembership:
+      return "membership";
+    case DomainRead::kEnumeration:
+      return "enumeration";
+  }
+  return "?";
+}
+}  // namespace
 
 std::string DebugString(const ClausePlan& plan, const Catalog& catalog) {
   std::string out =
       StrCat("plan head=", catalog.Name(plan.head_pred),
              plan.constructive ? " [constructive]" : "",
-             plan.domain_sensitive ? " [domain-sensitive]" : "", "\n");
+             plan.domain_sensitive ? " [domain-sensitive]" : "",
+             " domain: ", DomainReadName(plan.domain_read), "\n");
   auto var_name = [&](VarRef v) {
     return v.is_index ? plan.idx_var_names[v.id] : plan.seq_var_names[v.id];
   };

@@ -46,6 +46,18 @@ namespace eval {
 /// X[2:end]) scale with the domain instead of its cube.
 enum class ArgMode { kCollector, kKey, kPostCheck, kInverseSuffix };
 
+/// What a clause reads from the extended active domain, in increasing
+/// order of cost; a clause that reads it in several ways is classed by
+/// the last that applies.
+///  * kNone        — every variable is bound by a predicate literal;
+///  * kRange       — index variables enumerated over [0, MaxInt()];
+///  * kMembership  — an equality binds a variable to a computed value,
+///                   which must be a domain member;
+///  * kEnumeration — sequence variables enumerated over the domain, or
+///                   inverse-suffix candidates drawn from a length
+///                   bucket: the only reads that list domain members.
+enum class DomainRead { kNone, kRange, kMembership, kEnumeration };
+
 /// One scheduled body literal.
 struct LiteralStep {
   enum class Kind { kMatch, kEq, kNeq };
@@ -87,6 +99,9 @@ struct ClausePlan {
 
   /// True if the clause can derive new facts from domain growth alone.
   bool domain_sensitive = false;
+
+  /// What firing the clause reads from the domain.
+  DomainRead domain_read = DomainRead::kNone;
 
   /// True if the head contains ++ or @T terms (constructive clause).
   bool constructive = false;

@@ -62,7 +62,8 @@ Status Evaluator::SetProgram(const ast::Program& program) {
   return Status::Ok();
 }
 
-Status Evaluator::LoadFacts(const Database& db, RunState* state) const {
+Status Evaluator::LoadFacts(const Database& db, bool close,
+                            RunState* state) const {
   std::vector<SeqId> roots;
   for (PredId pred : db.PredicatesWithRelations()) {
     const Relation* rel = db.Get(pred);
@@ -73,7 +74,13 @@ Status Evaluator::LoadFacts(const Database& db, RunState* state) const {
       TupleView row = rel->RowAt(i);
       state->model->Insert(pred, row);
       state->delta->Insert(pred, row);
-      roots.insert(roots.end(), row.begin(), row.end());
+      if (close) {
+        roots.insert(roots.end(), row.begin(), row.end());
+      } else {
+        SEQLOG_DCHECK(std::all_of(row.begin(), row.end(), [&](SeqId arg) {
+          return state->domain->Contains(arg);
+        })) << "the base domain lacks a database sequence";
+      }
     }
   }
   return state->domain->ExtendWith(
@@ -89,8 +96,9 @@ Status Evaluator::InitState(const Database& edb, const Database* extra_facts,
   }
   state->model = model;
   state->options = options;
+  const bool layered = base_domain != nullptr;
   state->owned_domain =
-      base_domain != nullptr
+      layered
           ? std::make_unique<ExtendedDomain>(pool_, std::move(base_domain))
           : std::make_unique<ExtendedDomain>(pool_);
   state->domain = state->owned_domain.get();
@@ -105,16 +113,18 @@ Status Evaluator::InitState(const Database& edb, const Database* extra_facts,
   // The database is a set of ground clauses with empty bodies
   // (Definition 4 treats db atoms as clauses): load it as the starting
   // interpretation and seed the extended active domain (Definition 3).
+  // A base domain is by contract the domain of `edb`, so a layered run
+  // closes only the extra facts.
   const auto load_start = std::chrono::steady_clock::now();
-  Status load_status = LoadFacts(edb, state);
+  Status load_status = LoadFacts(edb, /*close=*/!layered, state);
   if (load_status.ok() && extra_facts != nullptr) {
-    load_status = LoadFacts(*extra_facts, state);
+    load_status = LoadFacts(*extra_facts, /*close=*/true, state);
   }
   state->stats.domain_load_millis += MillisSince(load_start);
   SEQLOG_RETURN_IF_ERROR(load_status);
-  // With a prebuilt base domain the AddRoots above short-circuit without
-  // counting, so enforce the budget on the total explicitly — a snapshot
-  // execution must fail the same way a live one does.
+  // A layered run never closes the database, so enforce the budget on
+  // the total explicitly — a snapshot execution must fail the same way a
+  // live one does.
   const size_t max_domain = options.limits.max_domain_sequences;
   if (max_domain != 0 && state->domain->size() > max_domain) {
     return Status::ResourceExhausted(

@@ -90,10 +90,10 @@ class Evaluator {
   /// reach a prepared magic program without rewriting it: the seed is
   /// data, not a clause (query/solver.h) — and layering the run's
   /// extended active domain on a frozen `base_domain` (may be null).
-  /// The base MUST be the closure of exactly `edb`'s sequences
-  /// (core/snapshot.h publishes such a pair): the run then skips
-  /// re-closing the database — the dominant per-query cost — and only
-  /// pays for sequences it derives itself.
+  /// The base MUST be the domain of exactly `edb`'s sequences
+  /// (core/snapshot.h publishes such a pair; debug builds check it): the
+  /// run then closes only `extra_facts` and the sequences it derives,
+  /// never the database itself.
   EvalOutcome Evaluate(const Database& edb, const Database* extra_facts,
                        std::shared_ptr<const ExtendedDomain> base_domain,
                        const EvalOptions& options, Database* model,
@@ -139,9 +139,10 @@ class Evaluator {
                    std::shared_ptr<const ExtendedDomain> base_domain,
                    const EvalOptions& options, Database* model,
                    RunState* state) const;
-  /// Loads every atom of `db` into the model and delta, then closes the
-  /// argument sequences into the domain.
-  Status LoadFacts(const Database& db, RunState* state) const;
+  /// Loads every atom of `db` into the model and delta, then, if
+  /// `close`, closes the argument sequences into the domain; otherwise
+  /// the domain must already hold them.
+  Status LoadFacts(const Database& db, bool close, RunState* state) const;
   /// One least-fixpoint loop over the given clause subset; shared by all
   /// strategies. `first_full` forces a full firing pass first — cold
   /// runs need it (the round-0 delta alone misses empty-body clauses);

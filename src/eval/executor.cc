@@ -255,7 +255,10 @@ class Firer {
       }
       tuple_.push_back(*v);
     }
-    if (ctx_->out->Insert(plan_.head_pred, tuple_)) {
+    // Only facts new to the model count toward max_facts: the naive
+    // strategy re-derives the whole model into every round's scratch.
+    if (ctx_->out->Insert(plan_.head_pred, tuple_) &&
+        !ctx_->full->Contains(plan_.head_pred, tuple_)) {
       ++ctx_->out_new;
       if (ctx_->existing_facts + ctx_->out_new > ctx_->limits->max_facts) {
         return Status::ResourceExhausted(

@@ -47,8 +47,8 @@ struct EvalStats {
   /// relation-merge timers below it accounts for nearly all of `millis`.
   double fire_millis = 0;
   /// Wall-clock spent growing the extended active domain, split by
-  /// phase: domain_load_millis covers the EDB/seed load closure at run
-  /// start, domain_merge_millis the closure of new roots at the round
+  /// phase: domain_load_millis covers rooting the EDB/seed facts at run
+  /// start, domain_merge_millis rooting new sequences at the round
   /// barriers.
   double domain_load_millis = 0;
   double domain_merge_millis = 0;
@@ -63,7 +63,7 @@ struct EvalStats {
   /// pipeline built on it). Zero on cold Evaluate runs.
   /// Fixpoint rounds run by the incremental re-saturation.
   size_t resaturate_rounds = 0;
-  /// Wall-clock of the incremental re-saturation (seed closure included).
+  /// Wall-clock of the incremental re-saturation (seed rooting included).
   double resaturate_millis = 0;
   /// Batch facts genuinely new to the model (duplicates are dropped at
   /// the seed, so this is the round-0 delta size).
@@ -96,7 +96,7 @@ struct FireContext {
   std::chrono::steady_clock::time_point deadline;
   bool has_deadline = false;
   size_t existing_facts = 0;  ///< facts in `full` (for max_facts checks)
-  size_t out_new = 0;         ///< new facts inserted into `out`
+  size_t out_new = 0;         ///< facts new to `out` that `full` lacks
   size_t tick = 0;            ///< deadline polling counter
 };
 

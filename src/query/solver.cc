@@ -435,7 +435,7 @@ BatchSolveResult Solver::ExecuteBatch(
   // evaluator, or one run per distinct goal without it. Items of one
   // run inject their seed facts together (duplicate bindings collapse
   // to one seed — Database relations are sets) and the run's rounds and
-  // domain closure are paid once for all of them.
+  // domain growth are paid once for all of them.
   struct Run {
     const eval::Evaluator* evaluator;
     std::vector<size_t> members;

@@ -152,9 +152,9 @@ class Solver {
   /// long as `edb` is not concurrently mutated (use a published
   /// snapshot, core/snapshot.h).
   ///
-  /// `base_domain` (optional) is a frozen closure of exactly `edb`'s
-  /// sequences — Snapshot publishes the pair — letting the run skip the
-  /// per-query database closure (eval/engine.h).
+  /// `base_domain` (optional) is the frozen domain of exactly `edb`'s
+  /// sequences — Snapshot publishes the pair — so the run roots only
+  /// its seeds and what it derives, never `edb` (eval/engine.h).
   SolveResult Execute(
       const PreparedGoal& prepared, const Database& edb,
       const std::vector<std::optional<SeqId>>& params,
@@ -188,7 +188,7 @@ class Solver {
   /// Answers every item of `items` (each an instantiation of one goal
   /// in `goals`) with the minimum number of fixpoint runs: all magic
   /// seed facts of the items sharing a run are injected together, the
-  /// rounds and the domain closure are paid once for the whole batch,
+  /// rounds and the domain growth are paid once for the whole batch,
   /// and the answers are demultiplexed per item from its goal's answer
   /// predicate by the item's bound values. With `fused` non-null (built
   /// by FuseGoals over the same `goals` list) every IDB item shares ONE

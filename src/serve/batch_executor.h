@@ -3,7 +3,7 @@
 // BatchExecutor answers MANY bindings of one or several PreparedQuerys
 // in as few semi-naive runs as possible — usually one. The magic seed
 // facts of every batch item are injected together, so the fixpoint
-// rounds, the clause firings and the extended-active-domain closure are
+// rounds, the clause firings and the extended-active-domain growth are
 // paid once for the whole batch and amortised across its items; the
 // answers are demultiplexed per item from each goal's answer predicate
 // by the item's bound values:

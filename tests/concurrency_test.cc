@@ -222,5 +222,47 @@ TEST(Concurrency, CompiledNetworkSharedByConcurrentExecutions) {
   EXPECT_GE(stats.compiled_node_runs, kThreads * kRounds);
 }
 
+TEST(Concurrency, FirstEnumerationOfASharedBaseDomain) {
+  // `p` draws candidates from a length bucket of the domain (inverse
+  // suffix matching), so the first execution on a snapshot lists the
+  // snapshot's shared base domain. Eight readers race to be first; each
+  // must see the sequential answers.
+  constexpr size_t kThreads = 8;
+  constexpr size_t kExecutesPerThread = 4;
+
+  Engine engine;
+  ASSERT_TRUE(engine.LoadProgram("p(X) :- s(X[2:end]).").ok());
+  for (size_t i = 0; i < 16; ++i) {
+    const std::string d = Dna(i + 31, 24);
+    ASSERT_TRUE(engine.AddFact("s", {d}).ok());
+    // Its suffix from position 2 too, so that `d` itself is an answer.
+    ASSERT_TRUE(engine.AddFact("s", {d.substr(1)}).ok());
+  }
+  Result<PreparedQuery> prepared = engine.Prepare("?- p(X).");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  Snapshot snapshot = engine.PublishSnapshot();
+  // The oracle runs on the live database: the snapshot's base stays
+  // unlisted until the readers start.
+  const RowList expected = engine.Solve("?- p(X).").answers;
+  ASSERT_EQ(expected.size(), 16u);
+
+  std::atomic<size_t> not_started{kThreads};
+  std::atomic<size_t> errors{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&] {
+      not_started.fetch_sub(1);
+      while (not_started.load() != 0) std::this_thread::yield();
+      for (size_t i = 0; i < kExecutesPerThread; ++i) {
+        ResultSet rs = prepared->Execute(snapshot);
+        if (!rs.ok() || rs.Materialize() != expected) errors.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(errors.load(), 0u);
+}
+
 }  // namespace
 }  // namespace seqlog

@@ -1,9 +1,12 @@
-// Randomized differential testing of the evaluator (PR 9 satellite):
-// a seed-reproducible generator emits bounded strongly-safe programs
-// over a small EDB alphabet, an independent reference evaluator (naive
-// fixpoint over plain string sets, no sharing with src/) computes the
-// expected model, and every generated program is checked bit-identical
-// against it, plus the naive and stratified strategy oracles.
+// Randomized differential testing of the evaluator: a seed-reproducible
+// generator emits bounded strongly-safe programs over a small EDB
+// alphabet, an independent reference evaluator (naive fixpoint over
+// plain string sets and a literal extended active domain, no sharing
+// with src/) computes the expected model, and every generated program is
+// checked bit-identical against it, plus the naive and stratified
+// strategy oracles. Every unary derived predicate is also queried
+// through a prepared goal on a published snapshot, whose runs layer
+// their domain on the snapshot's.
 //
 // Flags (also usable for CI soak runs, .github/workflows/soak.yml):
 //   --seed=N    base seed of the corpus (default: fixed corpus)
@@ -34,11 +37,10 @@ uint64_t g_base_seed = 20250807;
 size_t g_iters = 200;
 
 // ---------------------------------------------------------------------
-// Program IR. Generated rules are range-restricted by construction
-// (every head variable occurs in a positive body literal) and
-// constructive heads only ever sit on EDB-only bodies with the head
-// predicate used nowhere else, so every program is strongly safe and
-// its model finite.
+// Program IR. Constructive heads only ever sit on EDB-only bodies with
+// the head predicate used nowhere else, and no rule derives a sequence
+// outside the domain it reads, so every program is strongly safe and its
+// model finite.
 // ---------------------------------------------------------------------
 
 struct Pred {
@@ -51,11 +53,21 @@ struct Lit {
   std::vector<int> vars;  // indices into kVarNames
 };
 
+/// How a rule is written. kPlain and kConcat rules are range-restricted
+/// (every head variable occurs in a body literal). The other shapes
+/// read the extended active domain, one access path each, and are
+/// written out whole by RenderProgram:
+///   kSuffixes    p(X[N:end]) :- e1(X).         the integer range
+///   kWindows     p(W) :- e1(X), W = X[I:J].    membership
+///   kExtensions  p(X) :- e1(X[2:end]).         a length bucket
+///   kDomain      p(X) :- true.                 full enumeration
+enum class Shape { kPlain, kConcat, kSuffixes, kWindows, kExtensions, kDomain };
+
 struct Rule {
   int head_pred;
   std::vector<int> head_vars;
-  bool head_concat = false;  // head is name(v0 ++ v1)
-  std::vector<Lit> body;
+  Shape shape = Shape::kPlain;  // kConcat: head is name(v0 ++ v1)
+  std::vector<Lit> body;        // the predicates the rule reads
 };
 
 struct GenProgram {
@@ -107,58 +119,72 @@ GenProgram Generate(uint64_t seed) {
         int p = new_pred(1);
         bool first = rng() & 1;
         prog.rules.push_back(
-            Rule{p, {first ? 0 : 1}, false, {Lit{1, {0, 1}}}});
+            Rule{p, {first ? 0 : 1}, Shape::kPlain, {Lit{1, {0, 1}}}});
         break;
       }
       case 1: {  // join: p(X, Z) :- e2(X, Y), e2(Y, Z).
         int p = new_pred(2);
         prog.rules.push_back(
-            Rule{p, {0, 2}, false, {Lit{1, {0, 1}}, Lit{1, {1, 2}}}});
+            Rule{p, {0, 2}, Shape::kPlain, {Lit{1, {0, 1}}, Lit{1, {1, 2}}}});
         binary_idb.push_back(p);
         break;
       }
       case 2: {  // transitive closure of e2
         int p = new_pred(2);
-        prog.rules.push_back(Rule{p, {0, 1}, false, {Lit{1, {0, 1}}}});
+        prog.rules.push_back(Rule{p, {0, 1}, Shape::kPlain, {Lit{1, {0, 1}}}});
         prog.rules.push_back(
-            Rule{p, {0, 2}, false, {Lit{p, {0, 1}}, Lit{1, {1, 2}}}});
+            Rule{p, {0, 2}, Shape::kPlain, {Lit{p, {0, 1}}, Lit{1, {1, 2}}}});
         binary_idb.push_back(p);
         break;
       }
       case 3: {  // filter: p(X) :- e1(X), e2(X, Y).
         int p = new_pred(1);
         prog.rules.push_back(
-            Rule{p, {0}, false, {Lit{0, {0}}, Lit{1, {0, 1}}}});
+            Rule{p, {0}, Shape::kPlain, {Lit{0, {0}}, Lit{1, {0, 1}}}});
         break;
       }
       case 4: {  // constructive sink: c(X ++ Y) :- e1(X), e1(Y).
         int p = new_pred(1);
         prog.rules.push_back(
-            Rule{p, {0, 1}, true, {Lit{0, {0}}, Lit{0, {1}}}});
+            Rule{p, {0, 1}, Shape::kConcat, {Lit{0, {0}}, Lit{0, {1}}}});
         break;
       }
       case 5: {  // constructive sink from pairs: c(X ++ Y) :- e2(X, Y).
         int p = new_pred(1);
-        prog.rules.push_back(Rule{p, {0, 1}, true, {Lit{1, {0, 1}}}});
+        prog.rules.push_back(Rule{p, {0, 1}, Shape::kConcat, {Lit{1, {0, 1}}}});
         break;
       }
       case 6: {  // self-join column equality: p(X) :- e2(X, X).
         int p = new_pred(1);
-        prog.rules.push_back(Rule{p, {0}, false, {Lit{1, {0, 0}}}});
+        prog.rules.push_back(Rule{p, {0}, Shape::kPlain, {Lit{1, {0, 0}}}});
         break;
       }
       default: {  // IDB chaining: p(Y) :- q(X, Y). over a prior binary
         if (binary_idb.empty()) {
           int p = new_pred(1);
-          prog.rules.push_back(Rule{p, {0}, false, {Lit{0, {0}}}});
+          prog.rules.push_back(Rule{p, {0}, Shape::kPlain, {Lit{0, {0}}}});
           break;
         }
         int q = binary_idb[rng() % binary_idb.size()];
         int p = new_pred(1);
-        prog.rules.push_back(Rule{p, {1}, false, {Lit{q, {0, 1}}}});
+        prog.rules.push_back(Rule{p, {1}, Shape::kPlain, {Lit{q, {0, 1}}}});
         break;
       }
     }
+  }
+  // Domain-reading rules draw from a stream of their own, so each seed
+  // keeps the range-restricted rules it has always generated.
+  std::mt19937_64 domain_rng(seed ^ 0xd0d0d0d0d0d0d0d0u);
+  std::uniform_int_distribution<int> domain_rules(0, 2);
+  std::uniform_int_distribution<int> domain_shape(
+      static_cast<int>(Shape::kSuffixes), static_cast<int>(Shape::kDomain));
+  for (int r = domain_rules(domain_rng); r > 0; --r) {
+    const auto shape = static_cast<Shape>(domain_shape(domain_rng));
+    const int p = new_pred(1);
+    prog.rules.push_back(Rule{
+        p, {0}, shape,
+        shape == Shape::kDomain ? std::vector<Lit>{}
+                                : std::vector<Lit>{Lit{0, {0}}}});
   }
   return prog;
 }
@@ -167,8 +193,25 @@ std::string RenderProgram(const GenProgram& prog) {
   std::string out;
   for (const Rule& rule : prog.rules) {
     out += prog.preds[rule.head_pred].name;
+    switch (rule.shape) {
+      case Shape::kPlain:
+      case Shape::kConcat:
+        break;
+      case Shape::kSuffixes:
+        out += "(X[N:end]) :- e1(X).\n";
+        continue;
+      case Shape::kWindows:
+        out += "(W) :- e1(X), W = X[I:J].\n";
+        continue;
+      case Shape::kExtensions:
+        out += "(X) :- e1(X[2:end]).\n";
+        continue;
+      case Shape::kDomain:
+        out += "(X) :- true.\n";
+        continue;
+    }
     out += '(';
-    if (rule.head_concat) {
+    if (rule.shape == Shape::kConcat) {
       out += kVarNames[rule.head_vars[0]];
       out += " ++ ";
       out += kVarNames[rule.head_vars[1]];
@@ -202,12 +245,86 @@ std::string RenderProgram(const GenProgram& prog) {
 
 using RefModel = std::map<int, std::set<std::vector<std::string>>>;
 
+/// The extended active domain of `model`, written out literally
+/// (Definitions 2-3): every contiguous subsequence of every sequence in
+/// it, epsilon included, and lmax for the integer range [0, lmax + 1].
+struct RefDomain {
+  explicit RefDomain(const RefModel& model) {
+    for (const auto& [pred, rows] : model) {
+      for (const std::vector<std::string>& row : rows) {
+        for (const std::string& s : row) {
+          lmax = std::max(lmax, s.size());
+          for (size_t from = 0; from <= s.size(); ++from) {
+            for (size_t len = 0; from + len <= s.size(); ++len) {
+              seqs.insert(s.substr(from, len));
+            }
+          }
+        }
+      }
+    }
+    seqs.insert("");
+  }
+  std::set<std::string> seqs;
+  size_t lmax = 0;
+};
+
+/// s[from:to] (1-based, inclusive) when defined (Section 3.2:
+/// 1 <= from <= to + 1 <= len(s) + 1), else nullopt.
+std::optional<std::string> RefSlice(const std::string& s, size_t from,
+                                    size_t to) {
+  if (from < 1 || from > to + 1 || to > s.size()) return std::nullopt;
+  return s.substr(from - 1, to + 1 - from);
+}
+
+/// One application of a domain-reading rule: every substitution over the
+/// literal domain of `model`.
+void RefDomainRule(const Rule& rule, const RefModel& model,
+                   std::set<std::vector<std::string>>* out) {
+  const RefDomain domain(model);
+  std::set<std::string> e1;
+  if (auto it = model.find(0); it != model.end()) {
+    for (const std::vector<std::string>& row : it->second) e1.insert(row[0]);
+  }
+  const size_t max_int = domain.lmax + 1;
+  switch (rule.shape) {
+    case Shape::kSuffixes:
+      for (const std::string& x : e1) {
+        for (size_t n = 0; n <= max_int; ++n) {
+          if (auto v = RefSlice(x, n, x.size())) out->insert({*v});
+        }
+      }
+      break;
+    case Shape::kWindows:
+      for (const std::string& x : e1) {
+        for (size_t i = 0; i <= max_int; ++i) {
+          for (size_t j = 0; j <= max_int; ++j) {
+            auto w = RefSlice(x, i, j);
+            if (w && domain.seqs.count(*w) > 0) out->insert({*w});
+          }
+        }
+      }
+      break;
+    case Shape::kExtensions:
+      for (const std::string& x : domain.seqs) {
+        auto tail = RefSlice(x, 2, x.size());
+        if (tail && e1.count(*tail) > 0) out->insert({x});
+      }
+      break;
+    case Shape::kDomain:
+      for (const std::string& x : domain.seqs) out->insert({x});
+      break;
+    case Shape::kPlain:
+    case Shape::kConcat:
+      break;
+  }
+}
+
 void RefMatch(const Rule& rule, size_t li, const RefModel& model,
               std::vector<std::optional<std::string>>* env,
               std::set<std::vector<std::string>>* out) {
   if (li == rule.body.size()) {
     std::vector<std::string> head;
-    if (rule.head_concat) {
+    if (rule.shape == Shape::kConcat) {
       head.push_back(*(*env)[rule.head_vars[0]] +
                      *(*env)[rule.head_vars[1]]);
     } else {
@@ -245,8 +362,12 @@ RefModel RefEvaluate(const GenProgram& prog) {
     changed = false;
     for (const Rule& rule : prog.rules) {
       std::set<std::vector<std::string>> derived;
-      std::vector<std::optional<std::string>> env(4);
-      RefMatch(rule, 0, model, &env, &derived);
+      if (rule.shape == Shape::kPlain || rule.shape == Shape::kConcat) {
+        std::vector<std::optional<std::string>> env(4);
+        RefMatch(rule, 0, model, &env, &derived);
+      } else {
+        RefDomainRule(rule, model, &derived);
+      }
       for (const std::vector<std::string>& row : derived) {
         if (model[rule.head_pred].insert(row).second) changed = true;
       }
@@ -311,6 +432,66 @@ std::vector<std::vector<RenderedRow>> RefRows(const GenProgram& prog,
   return per_pred;
 }
 
+/// The part of `prog` a goal on predicate `goal` reaches: the rules that
+/// define it and, transitively, the derived predicates their bodies read.
+GenProgram GoalSlice(const GenProgram& prog, int goal) {
+  std::set<int> reached = {goal};
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const Rule& rule : prog.rules) {
+      if (reached.count(rule.head_pred) == 0) continue;
+      for (const Lit& lit : rule.body) {
+        grew = reached.insert(lit.pred).second || grew;
+      }
+    }
+  }
+  GenProgram slice = prog;
+  slice.rules.clear();
+  for (const Rule& rule : prog.rules) {
+    if (reached.count(rule.head_pred) > 0) slice.rules.push_back(rule);
+  }
+  return slice;
+}
+
+/// Answers `?- p(X).` for every unary derived predicate through a
+/// prepared goal on a published snapshot — a run layered on the
+/// snapshot's domain — and checks them against the reference. Demand
+/// evaluation runs only the rules the goal reaches, so sequences that an
+/// unrelated constructive rule adds to the whole program's domain are
+/// not in the goal's: the reference is the model of the goal's slice.
+bool CheckPreparedGoals(const GenProgram& prog, uint64_t seed) {
+  Engine engine;
+  Status s = engine.LoadProgram(RenderProgram(prog));
+  EXPECT_TRUE(s.ok()) << s.ToString() << "\n" << RenderProgram(prog);
+  if (!s.ok()) return false;
+  for (const std::string& f : prog.e1_facts) {
+    EXPECT_TRUE(engine.AddFact("e1", {f}).ok());
+  }
+  for (const auto& [a, b] : prog.e2_facts) {
+    EXPECT_TRUE(engine.AddFact("e2", {a, b}).ok());
+  }
+  const Snapshot snapshot = engine.PublishSnapshot();
+  bool ok = true;
+  for (size_t p = 2; p < prog.preds.size(); ++p) {
+    if (prog.preds[p].arity != 1) continue;
+    const std::string goal = "?- " + prog.preds[p].name + "(X).";
+    Result<PreparedQuery> prepared = engine.Prepare(goal);
+    EXPECT_TRUE(prepared.ok()) << goal << " " << prepared.status().ToString();
+    if (!prepared.ok()) return false;
+    ResultSet answers = prepared->ExecuteWith(snapshot, {});
+    EXPECT_TRUE(answers.ok()) << goal << " " << answers.status().ToString();
+    if (!answers.ok()) return false;
+    const GenProgram slice = GoalSlice(prog, static_cast<int>(p));
+    if (answers.Materialize() != RefRows(slice, RefEvaluate(slice))[p]) {
+      ADD_FAILURE() << "prepared " << goal << " on a snapshot differs from "
+                    << "the reference seed=" << seed << "\n"
+                    << RenderProgram(prog);
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 /// One generated program checked against the reference, and with
 /// `strategy_oracles` also under the naive and stratified strategies;
 /// returns false (after logging the seed) on any mismatch.
@@ -328,6 +509,7 @@ bool CheckSeed(uint64_t seed, bool strategy_oracles) {
                   << RenderProgram(prog);
     ok = false;
   }
+  if (!CheckPreparedGoals(prog, seed)) ok = false;
   if (strategy_oracles) {
     for (auto strategy :
          {eval::Strategy::kNaive, eval::Strategy::kStratified}) {

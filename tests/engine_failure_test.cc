@@ -172,7 +172,10 @@ TEST(EngineFailure, DomainBudgetOnHugeEdbSequence) {
 // has the same outcome at every requested width: p derives 200 facts
 // twice over 400 EDB facts, 600 in all.
 TEST(EngineFailure, FactBudgetEdgeIsWidthInvariant) {
-  auto run = [](size_t threads, size_t max_facts) {
+  // Only facts new to the model count toward max_facts, so the edge is
+  // the same under every strategy — naive re-derives the whole model
+  // into every round's scratch database.
+  auto run = [](eval::Strategy strategy, size_t threads, size_t max_facts) {
     Engine engine;
     EXPECT_TRUE(engine.LoadProgram("p(X) :- a(X).\np(X) :- b(X).").ok());
     for (int i = 0; i < 200; ++i) {
@@ -182,23 +185,29 @@ TEST(EngineFailure, FactBudgetEdgeIsWidthInvariant) {
       EXPECT_TRUE(engine.AddFact("b", {s}).ok());
     }
     eval::EvalOptions options;
+    options.strategy = strategy;
     options.num_threads = threads;
     options.limits.max_facts = max_facts;
     return engine.Evaluate(options);
   };
-  const eval::EvalOutcome fits = run(1, 600);
-  ASSERT_TRUE(fits.status.ok()) << fits.status.ToString();
-  EXPECT_EQ(fits.stats.facts, 600u);
-  const eval::EvalOutcome over = run(1, 599);
-  EXPECT_EQ(over.status.code(), StatusCode::kResourceExhausted);
-  for (size_t threads : {0u, 2u, 8u}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    const eval::EvalOutcome at_edge = run(threads, 600);
-    EXPECT_EQ(at_edge.status.code(), fits.status.code());
-    EXPECT_EQ(at_edge.stats.facts, fits.stats.facts);
-    const eval::EvalOutcome past_edge = run(threads, 599);
-    EXPECT_EQ(past_edge.status.code(), over.status.code());
-    EXPECT_EQ(past_edge.stats.facts, over.stats.facts);
+  for (eval::Strategy strategy :
+       {eval::Strategy::kSemiNaive, eval::Strategy::kNaive,
+        eval::Strategy::kStratified}) {
+    SCOPED_TRACE("strategy=" + std::to_string(static_cast<int>(strategy)));
+    const eval::EvalOutcome fits = run(strategy, 1, 600);
+    ASSERT_TRUE(fits.status.ok()) << fits.status.ToString();
+    EXPECT_EQ(fits.stats.facts, 600u);
+    const eval::EvalOutcome over = run(strategy, 1, 599);
+    EXPECT_EQ(over.status.code(), StatusCode::kResourceExhausted);
+    for (size_t threads : {0u, 2u, 8u}) {
+      SCOPED_TRACE("num_threads=" + std::to_string(threads));
+      const eval::EvalOutcome at_edge = run(strategy, threads, 600);
+      EXPECT_EQ(at_edge.status.code(), fits.status.code());
+      EXPECT_EQ(at_edge.stats.facts, fits.stats.facts);
+      const eval::EvalOutcome past_edge = run(strategy, threads, 599);
+      EXPECT_EQ(past_edge.status.code(), over.status.code());
+      EXPECT_EQ(past_edge.stats.facts, over.stats.facts);
+    }
   }
 }
 

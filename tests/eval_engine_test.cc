@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/programs.h"
 #include "eval/clause_plan.h"
+#include "transducer/genome.h"
 #include "transducer/library.h"
 
 namespace seqlog {
@@ -325,6 +327,38 @@ TEST(EvalEngine, PlanDebugStringShowsSchedule) {
   EXPECT_NE(dbg.find("constructive"), std::string::npos);
   EXPECT_NE(dbg.find("domain-sensitive"), std::string::npos);
   EXPECT_NE(dbg.find("enum{N"), std::string::npos);
+
+  // The header line names what the clause reads from the domain: Ex. 7.1
+  // binds every variable through a database literal, Ex. 1.1 enumerates
+  // an index, the text index's `occurs` binds W by equality (and also
+  // enumerates I and J), rep1's head variable is bound by the domain.
+  const std::pair<const char*, const char*> cases[] = {
+      {programs::kGenomePipeline, "domain: none"},
+      {programs::kSuffixes, "domain: range"},
+      {programs::kTextIndex, "domain: membership"},
+      {"rep1(X, X) :- true.", "domain: enumeration"}};
+  for (const auto& [program, read] : cases) {
+    SCOPED_TRACE(program);
+    Engine e;
+    ASSERT_TRUE(
+        e.RegisterTransducer(*transducer::MakeTranscribe("transcribe",
+                                                         e.symbols()))
+            .ok());
+    ASSERT_TRUE(
+        e.RegisterTransducer(*transducer::MakeTranslate("translate",
+                                                        e.symbols()))
+            .ok());
+    ASSERT_TRUE(e.LoadProgram(program).ok());
+    eval::Evaluator plans(e.catalog(), e.pool(), e.registry());
+    ASSERT_TRUE(plans.SetProgram(e.program()).ok());
+    // Ex. 7.1 has two clauses, both unread; elsewhere the first clause.
+    const size_t checked = program == programs::kGenomePipeline ? 2 : 1;
+    for (size_t i = 0; i < checked; ++i) {
+      std::string header = eval::DebugString(plans.plans()[i], *e.catalog());
+      header.resize(header.find('\n'));
+      EXPECT_NE(header.find(read), std::string::npos) << header;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,13 @@
 // Tests for the molecular-biology machines of Example 7.1.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/engine.h"
+#include "core/programs.h"
 #include "transducer/genome.h"
 
 namespace seqlog {
@@ -92,6 +99,48 @@ TEST_F(GenomeTest, ReverseComplementComposition) {
                 .value();
   SeqId rc = (*rev)->Apply(std::vector<SeqId>{c}, &pool_).value();
   EXPECT_EQ(pool_.Render(rc, symbols_), "tgtaatc");
+}
+
+TEST(GenomePipelineTest, Ex71CountsItsDomainWithoutInterningFactors) {
+  // No Ex. 7.1 clause reads the domain, so the run must intern nothing
+  // beyond epsilon and one DNA, RNA and protein sequence per input — yet
+  // still report the domain's exact size.
+  constexpr size_t kInputs = 200;
+  Engine engine;
+  ASSERT_TRUE(
+      engine.RegisterTransducer(*MakeTranscribe("transcribe", engine.symbols()))
+          .ok());
+  ASSERT_TRUE(
+      engine.RegisterTransducer(*MakeTranslate("translate", engine.symbols()))
+          .ok());
+  ASSERT_TRUE(engine.LoadProgram(programs::kGenomePipeline).ok());
+  std::mt19937 rng(71);
+  for (size_t i = 0; i < kInputs; ++i) {
+    std::string dna(24, 'a');
+    for (char& c : dna) c = "acgt"[rng() % 4];
+    ASSERT_TRUE(engine.AddFact("dnaseq", {dna}).ok());
+  }
+  eval::EvalOutcome outcome = engine.Evaluate();
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_LE(engine.pool()->size(), 3 * kInputs + 1);
+
+  // Brute force: every factor of every sequence in the model, plus eps.
+  std::set<std::vector<Symbol>> factors = {{}};
+  for (const char* pred : {"dnaseq", "rnaseq", "proteinseq"}) {
+    Result<std::vector<std::vector<SeqId>>> rows = engine.QueryIds(pred);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    for (const std::vector<SeqId>& row : *rows) {
+      for (SeqId id : row) {
+        SeqView v = engine.pool()->View(id);
+        for (size_t from = 0; from < v.size(); ++from) {
+          for (size_t to = from + 1; to <= v.size(); ++to) {
+            factors.emplace(v.begin() + from, v.begin() + to);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(outcome.stats.domain_sequences, factors.size());
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "sequence/domain.h"
 #include "sequence/sequence_pool.h"
@@ -254,6 +257,178 @@ TEST(ExtendedDomainTest, IntegerRangeTracksLongestSequence) {
   ASSERT_TRUE(d.AddRoot(pool.FromChars("abcde", &t)).ok());
   EXPECT_EQ(d.MaxInt(), 6);
   EXPECT_EQ(d.lmax(), 5u);
+}
+
+/// The extended active domain written out literally: each root's closure
+/// in the canonical order (the root, then every factor by length and
+/// start), each member once, as the eager closure lists them. `base`
+/// (optional) is the frozen layer underneath.
+struct LiteralClosure {
+  explicit LiteralClosure(const LiteralClosure* under) : base(under) {
+    if (base == nullptr) Insert("");
+  }
+
+  bool Has(const std::string& s) const {
+    return members.count(s) > 0 || (base != nullptr && base->Has(s));
+  }
+  size_t Size() const {
+    return members.size() + (base != nullptr ? base->Size() : 0);
+  }
+  /// Adds `root`'s closure member by member; false once the total
+  /// exceeds `max` (0 = unlimited).
+  bool Add(const std::string& root, size_t max) {
+    if (Has(root)) return true;
+    bool ok = true;
+    auto add = [&](const std::string& s) {
+      if (!Has(s)) Insert(s);
+      if (max != 0 && Size() > max) ok = false;
+    };
+    add(root);
+    for (size_t len = 1; len < root.size(); ++len) {
+      for (size_t from = 0; from + len <= root.size(); ++from) {
+        add(root.substr(from, len));
+      }
+    }
+    return ok;
+  }
+  /// Base members first, then this layer's, as ExtendedDomain lists them.
+  std::vector<std::string> Listing() const {
+    std::vector<std::string> out =
+        base != nullptr ? base->Listing() : std::vector<std::string>{};
+    out.insert(out.end(), seqs.begin(), seqs.end());
+    return out;
+  }
+
+  const LiteralClosure* base;
+  std::vector<std::string> seqs;
+  std::set<std::string> members;
+
+ private:
+  void Insert(const std::string& s) {
+    members.insert(s);
+    seqs.push_back(s);
+  }
+};
+
+/// Seed-reproducible random roots over the first `alphabet` letters.
+class RandomRoots {
+ public:
+  explicit RandomRoots(uint32_t seed) : rng_(seed) {}
+  size_t Below(size_t n) { return rng_() % n; }
+  std::string Next(size_t alphabet) {
+    std::string s(Below(10), 'a');
+    for (char& c : s) c = static_cast<char>('a' + Below(alphabet));
+    return s;
+  }
+
+ private:
+  std::mt19937 rng_;
+};
+
+std::vector<std::string> Rendered(DomainView view, const SequencePool& pool,
+                                  const SymbolTable& symbols) {
+  std::vector<std::string> out;
+  for (SeqId id : view) out.push_back(pool.Render(id, symbols));
+  return out;
+}
+
+void ExpectSameListing(const ExtendedDomain& d, const LiteralClosure& lit,
+                       const SequencePool& pool, const SymbolTable& symbols) {
+  const std::vector<std::string> expected = lit.Listing();
+  EXPECT_EQ(Rendered(d.sequences(), pool, symbols), expected);
+  for (size_t len = 0; len <= d.lmax() + 1; ++len) {
+    std::vector<std::string> bucket;
+    for (const std::string& s : expected) {
+      if (s.size() == len) bucket.push_back(s);
+    }
+    EXPECT_EQ(Rendered(d.WithLength(len), pool, symbols), bucket)
+        << "len=" << len;
+  }
+}
+
+TEST(ExtendedDomainTest, MatchesLiteralClosureOnRandomRoots) {
+  // Flat domains and overlays on a base, against the factor set and the
+  // eager closure written out above: size and membership after every
+  // root, enumeration order at the end — and, in some trials, an
+  // enumeration requested midway with growth continuing after it.
+  SymbolTable t;
+  SequencePool pool;
+  RandomRoots gen(20261018);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+    const size_t alphabet = 1 + gen.Below(3);
+    const bool layered = trial % 2 == 1;
+    auto base = std::make_shared<ExtendedDomain>(&pool);
+    LiteralClosure base_lit(nullptr);
+    if (layered) {
+      for (size_t r = gen.Below(5); r > 0; --r) {
+        const std::string root = gen.Next(alphabet);
+        ASSERT_TRUE(base->AddRoot(pool.FromChars(root, &t)).ok());
+        base_lit.Add(root, 0);
+      }
+    }
+    std::unique_ptr<ExtendedDomain> d =
+        layered ? std::make_unique<ExtendedDomain>(&pool, base)
+                : std::make_unique<ExtendedDomain>(&pool);
+    LiteralClosure lit(layered ? &base_lit : nullptr);
+    const size_t list_after = gen.Below(8);  // >= 6: only at the end
+    size_t lmax = 0;
+    for (const std::string& s : base_lit.members) {
+      lmax = std::max(lmax, s.size());
+    }
+    for (size_t r = 1; r <= 6; ++r) {
+      const std::string root = gen.Next(alphabet);
+      ASSERT_TRUE(d->AddRoot(pool.FromChars(root, &t)).ok()) << root;
+      lit.Add(root, 0);
+      lmax = std::max(lmax, root.size());
+      EXPECT_EQ(d->size(), lit.Size()) << root;
+      EXPECT_EQ(d->lmax(), lmax);
+      for (int probe = 0; probe < 8; ++probe) {
+        const std::string s = gen.Next(alphabet);
+        EXPECT_EQ(d->Contains(pool.FromChars(s, &t)), lit.Has(s)) << s;
+      }
+      if (r == list_after) ExpectSameListing(*d, lit, pool, t);
+    }
+    ExpectSameListing(*d, lit, pool, t);
+    EXPECT_EQ(base->size(), base_lit.Size());
+  }
+}
+
+TEST(ExtendedDomainTest, BudgetTripsOnTheSameRootAsTheLiteralClosure) {
+  SymbolTable t;
+  SequencePool pool;
+  RandomRoots gen(7);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+    const size_t alphabet = 1 + gen.Below(3);
+    const size_t max = 2 + gen.Below(40);
+    const bool layered = trial % 2 == 1;
+    auto base = std::make_shared<ExtendedDomain>(&pool);
+    LiteralClosure base_lit(nullptr);
+    if (layered) {
+      for (size_t r = gen.Below(3); r > 0; --r) {
+        const std::string root = gen.Next(alphabet);
+        ASSERT_TRUE(base->AddRoot(pool.FromChars(root, &t)).ok());
+        base_lit.Add(root, 0);
+      }
+    }
+    std::unique_ptr<ExtendedDomain> d =
+        layered ? std::make_unique<ExtendedDomain>(&pool, base)
+                : std::make_unique<ExtendedDomain>(&pool);
+    LiteralClosure lit(layered ? &base_lit : nullptr);
+    for (int r = 0; r < 8; ++r) {
+      const std::string root = gen.Next(alphabet);
+      const bool fits = lit.Add(root, max);
+      const Status s = d->AddRoot(pool.FromChars(root, &t), max);
+      ASSERT_EQ(s.ok(), fits) << "root " << r << " = " << root;
+      if (!fits) {
+        EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+        // The tripping root is admitted whole.
+        EXPECT_EQ(d->size(), lit.Size());
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace
