@@ -38,6 +38,15 @@ void RegisterGenomeMachines(Engine* engine) {
   if (!engine->RegisterTransducer(translate.value()).ok()) std::abort();
 }
 
+/// Answers a ground goal by demand evaluation (Prepare + Execute).
+ResultSet Solve(Engine* engine, const std::string& goal) {
+  Result<PreparedQuery> prepared = engine->Prepare(goal);
+  if (!prepared.ok()) std::abort();
+  ResultSet rs = prepared->Execute();
+  if (!rs.ok()) std::abort();
+  return rs;
+}
+
 struct Comparison {
   size_t full_derived = 0;
   size_t magic_derived = 0;
@@ -46,7 +55,7 @@ struct Comparison {
   size_t answers = 0;
 };
 
-/// Runs Evaluate and Solve on a fresh engine pair and cross-checks that
+/// Runs Evaluate and a demand goal on a fresh engine pair and cross-checks that
 /// the goal's answers agree with the full model.
 Comparison Compare(const char* program, bool genome,
                    const std::vector<std::string>& facts,
@@ -68,11 +77,10 @@ Comparison Compare(const char* program, bool genome,
   if (genome) RegisterGenomeMachines(&magic);
   if (!magic.LoadProgram(program).ok()) std::abort();
   for (const auto& f : facts) magic.AddFact(fact_pred, {f});
-  SolveOutcome solved = magic.Solve(goal);
-  if (!solved.status.ok()) std::abort();
-  out.magic_derived = solved.stats.derived_facts;
-  out.magic_millis = solved.stats.eval.millis;
-  out.answers = solved.answers.size();
+  ResultSet solved = Solve(&magic, goal);
+  out.magic_derived = solved.stats().derived_facts;
+  out.magic_millis = solved.stats().eval.millis;
+  out.answers = solved.size();
 
   // Cross-check: the demand answers equal the full model restricted to
   // the goal's bound first argument.
@@ -162,9 +170,7 @@ void BM_MagicSuffixPointQuery(benchmark::State& state) {
   if (!engine.LoadProgram(programs::kSuffixes).ok()) std::abort();
   for (const auto& d : dna) engine.AddFact("r", {d});
   for (auto _ : state) {
-    SolveOutcome solved = engine.Solve(goal);
-    if (!solved.status.ok()) std::abort();
-    benchmark::DoNotOptimize(solved.answers.size());
+    benchmark::DoNotOptimize(Solve(&engine, goal).size());
   }
 }
 BENCHMARK(BM_MagicSuffixPointQuery)->Arg(16)->Arg(64)->Arg(256)
@@ -195,9 +201,7 @@ void BM_MagicGenomePointLookup(benchmark::State& state) {
   if (!engine.LoadProgram(programs::kGenomePipeline).ok()) std::abort();
   for (const auto& d : dna) engine.AddFact("dnaseq", {d});
   for (auto _ : state) {
-    SolveOutcome solved = engine.Solve(goal);
-    if (!solved.status.ok()) std::abort();
-    benchmark::DoNotOptimize(solved.answers.size());
+    benchmark::DoNotOptimize(Solve(&engine, goal).size());
   }
 }
 BENCHMARK(BM_MagicGenomePointLookup)->Arg(16)->Arg(64)->Arg(256)

@@ -1,10 +1,11 @@
-// PREPARED: per-call latency of PreparedQuery::Execute versus cold
-// Engine::Solve on the point-query workloads of bench_magic_vs_fixpoint
-// (suffix membership and genome point lookup).
+// PREPARED: per-call latency of PreparedQuery::Execute versus a cold
+// one-shot goal (Prepare + Execute per call) on the point-query
+// workloads of bench_magic_vs_fixpoint (suffix membership and genome
+// point lookup).
 //
-// Cold Solve pays parse + adorn + magic rewrite + safety recheck + plan
-// compilation on EVERY call; the prepared path pays them once and then
-// only swaps the magic seed fact per call. The reproduction table
+// The cold path pays parse + adorn + magic rewrite + safety recheck +
+// plan compilation on EVERY call; the prepared path pays them once and
+// then only swaps the magic seed fact per call. The reproduction table
 // reports mean microseconds per call for both paths and their ratio;
 // answers are cross-checked call by call, and the prepared counters are
 // asserted to stay at one parse / one rewrite.
@@ -42,6 +43,15 @@ struct Workload {
   std::string goal_suffix;
 };
 
+/// A cold one-shot goal: Prepare + Execute + rendered, sorted answers.
+std::vector<RenderedRow> ColdSolve(Engine* engine, const std::string& goal) {
+  Result<PreparedQuery> prepared = engine->Prepare(goal);
+  if (!prepared.ok()) std::abort();
+  ResultSet rs = prepared->Execute();
+  if (!rs.ok()) std::abort();
+  return rs.Materialize();
+}
+
 /// Mean micros per call over `calls` invocations of `fn`.
 template <typename Fn>
 double MeanMicros(size_t calls, Fn&& fn) {
@@ -54,7 +64,7 @@ double MeanMicros(size_t calls, Fn&& fn) {
 
 void PrintTable() {
   bench::Banner("PREPARED",
-                "PreparedQuery::Execute vs cold Engine::Solve (per call)");
+                "PreparedQuery::Execute vs a cold Prepare + Execute");
   std::printf("%-26s %-8s %-12s %-14s %-8s\n", "workload", "db seqs",
               "cold us/call", "prepared us/call", "speedup");
 
@@ -82,11 +92,10 @@ void PrintTable() {
 
       const size_t calls = 50;
       double cold_us = MeanMicros(calls, [&](size_t i) {
-        SolveOutcome solved =
-            engine.Solve(w.goal_prefix + probes[i % probes.size()] +
-                         w.goal_suffix);
-        if (!solved.status.ok()) std::abort();
-        benchmark::DoNotOptimize(solved.answers.size());
+        benchmark::DoNotOptimize(
+            ColdSolve(&engine, w.goal_prefix + probes[i % probes.size()] +
+                                   w.goal_suffix)
+                .size());
       });
 
       auto prepared = engine.Prepare(w.goal_param);
@@ -104,10 +113,9 @@ void PrintTable() {
       for (const std::string& probe : probes) {
         if (!prepared->Bind(1, probe).ok()) std::abort();
         ResultSet rs = prepared->Execute(snapshot);
-        SolveOutcome solved =
-            engine.Solve(w.goal_prefix + probe + w.goal_suffix);
-        if (!rs.ok() || !solved.status.ok() ||
-            rs.Materialize() != solved.answers) {
+        if (!rs.ok() || rs.Materialize() !=
+                            ColdSolve(&engine,
+                                      w.goal_prefix + probe + w.goal_suffix)) {
           std::printf("MISMATCH on %s probe %s\n", w.name, probe.c_str());
           std::abort();
         }
@@ -134,9 +142,7 @@ void BM_ColdSolveSuffix(benchmark::State& state) {
   if (!engine.LoadProgram(programs::kSuffixes).ok()) std::abort();
   for (const auto& d : dna) engine.AddFact("r", {d});
   for (auto _ : state) {
-    SolveOutcome solved = engine.Solve(goal);
-    if (!solved.status.ok()) std::abort();
-    benchmark::DoNotOptimize(solved.answers.size());
+    benchmark::DoNotOptimize(ColdSolve(&engine, goal).size());
   }
 }
 BENCHMARK(BM_ColdSolveSuffix)->Arg(16)->Arg(64)->Arg(256)
@@ -171,9 +177,7 @@ void BM_ColdSolveGenome(benchmark::State& state) {
   if (!engine.LoadProgram(programs::kGenomePipeline).ok()) std::abort();
   for (const auto& d : dna) engine.AddFact("dnaseq", {d});
   for (auto _ : state) {
-    SolveOutcome solved = engine.Solve(goal);
-    if (!solved.status.ok()) std::abort();
-    benchmark::DoNotOptimize(solved.answers.size());
+    benchmark::DoNotOptimize(ColdSolve(&engine, goal).size());
   }
 }
 BENCHMARK(BM_ColdSolveGenome)->Arg(16)->Arg(64)->Arg(256)

@@ -1,7 +1,7 @@
 // SERVE: the serving tier's two performance claims (docs/SERVING.md).
 //
-//  1. Batch amortisation: BatchExecutor runs N bindings of one prepared
-//     goal in ONE semi-naive run (one magic seed set, one round
+//  1. Batch amortisation: PreparedQuery::ExecuteBatch runs N bindings of
+//     one prepared goal in ONE semi-naive run (one magic seed set, one round
 //     schedule, one domain closure) instead of N. On genome point
 //     lookup the acceptance bar is batch-of-32 >= 3x the throughput of
 //     32 sequential Execute calls; the reproduction table prints the
@@ -28,7 +28,6 @@
 #include "bench_util.h"
 #include "core/engine.h"
 #include "core/programs.h"
-#include "serve/batch_executor.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "transducer/genome.h"
@@ -59,18 +58,17 @@ std::vector<std::string> SetupGenome(Engine* engine, size_t n) {
   return dna;
 }
 
-std::vector<serve::BatchExecutor::Item> MakeItems(
-    const serve::BatchExecutor& batch,
-    const std::vector<std::string>& probes, size_t offset, size_t count) {
-  std::vector<serve::BatchExecutor::Item> items;
-  items.reserve(count);
+/// `count` one-value bindings drawn from `probes` from `offset` on.
+std::vector<query::Binding> MakeBindings(
+    Engine* engine, const std::vector<std::string>& probes, size_t offset,
+    size_t count) {
+  std::vector<query::Binding> bindings;
+  bindings.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    auto item =
-        batch.MakeItem(0, {probes[(offset + i) % probes.size()]});
-    if (!item.ok()) std::abort();
-    items.push_back(std::move(item).value());
+    bindings.push_back({engine->pool()->FromChars(
+        probes[(offset + i) % probes.size()], engine->symbols())});
   }
-  return items;
+  return bindings;
 }
 
 void PrintTable() {
@@ -84,7 +82,6 @@ void PrintTable() {
   auto prepared = engine.Prepare("?- rnaseq($1, X).");
   if (!prepared.ok()) std::abort();
   Snapshot snapshot = engine.PublishSnapshot();
-  serve::BatchExecutor batch(&engine, {&prepared.value()});
 
   double speedup32 = 0;
   for (size_t size : {8u, 32u, 128u}) {
@@ -111,13 +108,13 @@ void PrintTable() {
             .count();
 
     // Batched: the same `size` bindings in one run.
-    std::vector<serve::BatchExecutor::Item> items =
-        MakeItems(batch, probes, 0, size);
+    std::vector<query::Binding> bindings =
+        MakeBindings(&engine, probes, 0, size);
     t0 = std::chrono::steady_clock::now();
     rounds = 0;
-    serve::BatchResult result;
+    BatchResultSet result;
     do {
-      result = batch.Execute(snapshot, items);
+      result = prepared->ExecuteBatch(snapshot, bindings);
       if (!result.status.ok()) std::abort();
       ++rounds;
     } while (std::chrono::steady_clock::now() - t0 <
@@ -129,7 +126,7 @@ void PrintTable() {
             .count();
 
     // Parity: the batch demux must equal the sequential answers.
-    if (result.stats.evaluations != 1) std::abort();
+    if (result.runs != 1) std::abort();
     for (size_t i = 0; i < size; ++i) {
       if (result.results[i].Materialize() != single_answers[i]) {
         std::printf("PARITY MISMATCH at item %zu\n", i);
@@ -173,18 +170,17 @@ void BM_GenomeSingles32(benchmark::State& state) {
 }
 BENCHMARK(BM_GenomeSingles32)->Unit(benchmark::kMicrosecond);
 
-/// The same 32 bindings as one BatchExecutor run per iteration.
+/// The same 32 bindings as one ExecuteBatch run per iteration.
 void BM_GenomeBatch32(benchmark::State& state) {
   Engine engine;
   std::vector<std::string> probes = SetupGenome(&engine, 400);
   auto prepared = engine.Prepare("?- rnaseq($1, X).");
   if (!prepared.ok()) std::abort();
   Snapshot snapshot = engine.PublishSnapshot();
-  serve::BatchExecutor batch(&engine, {&prepared.value()});
-  std::vector<serve::BatchExecutor::Item> items =
-      MakeItems(batch, probes, 0, 32);
+  std::vector<query::Binding> bindings =
+      MakeBindings(&engine, probes, 0, 32);
   for (auto _ : state) {
-    serve::BatchResult result = batch.Execute(snapshot, items);
+    BatchResultSet result = prepared->ExecuteBatch(snapshot, bindings);
     if (!result.status.ok()) std::abort();
     benchmark::DoNotOptimize(result.results.size());
   }

@@ -66,18 +66,24 @@ int main() {
     std::cout << "\n";
   }
 
-  // Goal-directed querying: Solve derives only the facts demanded by the
-  // goal (magic sets), instead of the whole model.
-  seqlog::SolveOutcome solved = engine.Solve("?- suffix(cgt).");
-  if (!solved.status.ok()) {
-    std::cerr << "solve failed: " << solved.status.ToString() << "\n";
+  // Goal-directed querying: a prepared goal derives only the facts
+  // demanded by the goal (magic sets), instead of the whole model.
+  seqlog::Result<seqlog::PreparedQuery> goal =
+      engine.Prepare("?- suffix(cgt).");
+  if (!goal.ok()) {
+    std::cerr << "prepare failed: " << goal.status().ToString() << "\n";
     return 1;
   }
-  std::cout << "?- suffix(cgt). => " << solved.answers.size()
-            << " answer(s), " << solved.stats.derived_facts
+  seqlog::ResultSet solved = goal->Execute();
+  if (!solved.ok()) {
+    std::cerr << "solve failed: " << solved.status().ToString() << "\n";
+    return 1;
+  }
+  std::cout << "?- suffix(cgt). => " << solved.size()
+            << " answer(s), " << solved.stats().derived_facts
             << " facts derived on demand (vs " << outcome.stats.facts
             << " in the full model)\n";
-  if (solved.answers.empty()) {
+  if (solved.empty()) {
     std::cerr << "expected suffix(cgt) to hold\n";
     return 1;
   }

@@ -468,28 +468,27 @@ class Shell {
     if (!Reload()) return;
     seqlog::query::SolveOptions options;
     options.eval.limits = limits_;
-    seqlog::SolveOutcome outcome = engine_->Solve(goal, options);
-    if (!outcome.status.ok()) {
-      if (outcome.status.code() == seqlog::StatusCode::kNotFound) {
-        std::cout << "? " << outcome.status.message() << "\n";
+    seqlog::Result<seqlog::PreparedQuery> pq = engine_->Prepare(goal);
+    const seqlog::ResultSet rs =
+        pq.ok() ? pq->Execute(options) : seqlog::ResultSet();
+    const seqlog::Status& status = pq.ok() ? rs.status() : pq.status();
+    if (!status.ok()) {
+      if (status.code() == seqlog::StatusCode::kNotFound) {
+        std::cout << "? " << status.message() << "\n";
         return;
       }
-      std::cout << "! " << outcome.status.ToString() << "\n";
-      if (outcome.status.code() !=
-          seqlog::StatusCode::kResourceExhausted) {
-        return;
-      }
+      std::cout << "! " << status.ToString() << "\n";
+      if (status.code() != seqlog::StatusCode::kResourceExhausted) return;
       std::cout << "  (partial answers kept)\n";
     }
-    PrintRows(outcome.answers);
-    std::cout << "  [adornment " << (outcome.stats.goal_adornment.empty()
-                                         ? "-"
-                                         : outcome.stats.goal_adornment)
-              << ", " << outcome.stats.adorned_predicates
-              << " adorned predicate(s), " << outcome.stats.derived_facts
-              << " facts derived (" << outcome.stats.magic_facts
-              << " magic), " << outcome.stats.eval.iterations
-              << " iterations]\n";
+    const seqlog::query::SolveStats& stats = rs.stats();
+    PrintRows(rs.Materialize());
+    std::cout << "  [adornment "
+              << (stats.goal_adornment.empty() ? "-" : stats.goal_adornment)
+              << ", " << stats.adorned_predicates
+              << " adorned predicate(s), " << stats.derived_facts
+              << " facts derived (" << stats.magic_facts << " magic), "
+              << stats.eval.iterations << " iterations]\n";
   }
 
   /// Compiles a goal once under `name`; later :exec calls reuse the

@@ -240,31 +240,12 @@ eval::EvalOutcome Engine::Evaluate(const eval::EvalOptions& options) {
   return outcome;
 }
 
-SolveOutcome Engine::Solve(std::string_view goal,
-                           const query::SolveOptions& options) {
-  // Compatibility wrapper: one-shot Prepare + Execute + eager rendering.
-  SolveOutcome outcome;
-  Result<ast::Atom> parsed = parser::ParseGoal(goal, &symbols_, &pool_);
-  if (!parsed.ok()) {
-    outcome.status = parsed.status();
-    return outcome;
-  }
-  query::Solver solver(&catalog_, &pool_, &registry_);
-  const size_t arity = parsed.value().args.size();
-  ResultSet rs(solver.Solve(program_, parsed.value(), *edb_, options),
-               arity, &pool_, &symbols_, /*keepalive=*/nullptr);
-  outcome.status = rs.status();
-  outcome.stats = rs.stats();
-  outcome.answers = rs.Materialize();
-  return outcome;
-}
-
 Result<std::vector<std::vector<SeqId>>> Engine::QueryIds(
     std::string_view predicate) const {
   const Database* model = live_model_.model();
   if (model == nullptr) {
     return Status::FailedPrecondition(
-        "no model computed; call Evaluate or use Solve");
+        "no model computed; call Evaluate or use Prepare");
   }
   SEQLOG_ASSIGN_OR_RETURN(PredId pred, catalog_.Find(predicate));
   std::vector<std::vector<SeqId>> rows;

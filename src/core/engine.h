@@ -54,16 +54,6 @@ namespace seqlog {
 /// character symbols concatenated, longer names in <...>).
 using RenderedRow = std::vector<std::string>;
 
-/// Result of a goal-directed Solve: status, rendered answer tuples
-/// (sorted), and the demand-evaluation counters.
-/// [[deprecated]] — compatibility shape; prefer the ResultSet cursor
-/// returned by PreparedQuery::Execute.
-struct SolveOutcome {
-  Status status;
-  std::vector<RenderedRow> answers;
-  query::SolveStats stats;
-};
-
 class Engine {
  public:
   Engine();
@@ -169,25 +159,13 @@ class Engine {
   /// incremental DrainIngest until the next Evaluate/LoadProgram.
   eval::EvalOutcome Evaluate(const eval::EvalOptions& options = {});
 
-  /// Answers one goal, e.g. `?- suffix(acgt).` or `?- rnaseq(X, Y).`,
-  /// by demand (magic-set) evaluation: only goal-relevant facts are
-  /// derived, never the full model. Each goal argument is a ground term
-  /// or a plain variable; repeated variables join. Does not touch the
-  /// model computed by Evaluate; no prior Evaluate is needed.
-  /// [[deprecated]] — compatibility wrapper that re-prepares on every
-  /// call and eagerly renders+sorts all answers; for repeated goals use
-  /// Prepare + Execute.
-  SolveOutcome Solve(std::string_view goal,
-                     const query::SolveOptions& options = {});
-
   /// The computed interpretation (null before Evaluate).
   const Database* model() const { return live_model_.model(); }
 
   /// All tuples of `predicate` in the computed model, rendered; rows are
   /// sorted for deterministic comparison. kFailedPrecondition before the
-  /// first Evaluate.
-  /// [[deprecated]] — eager materialization; prefer Prepare + Execute
-  /// (cursor results) for point queries.
+  /// first Evaluate. Reads the model; for point queries prefer Prepare +
+  /// Execute (demand evaluation, cursor results).
   Result<std::vector<RenderedRow>> Query(std::string_view predicate) const;
   /// Raw SeqId rows.
   Result<std::vector<std::vector<SeqId>>> QueryIds(

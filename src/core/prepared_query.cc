@@ -87,28 +87,35 @@ Status PreparedQuery::BindId(size_t param, SeqId value) {
   return Status::Ok();
 }
 
+BatchResultSet PreparedQuery::Run(
+    const Database& db, std::shared_ptr<const ExtendedDomain> base_domain,
+    std::shared_ptr<const Database> keepalive,
+    std::span<const query::Binding> bindings,
+    const query::SolveOptions& options) const {
+  query::BatchSolveResult solved = impl_->solver.Execute(
+      impl_->prepared, db, bindings, options, std::move(base_domain));
+  impl_->executions.fetch_add(bindings.size(), std::memory_order_relaxed);
+  BatchResultSet out;
+  out.status = std::move(solved.status);
+  out.runs = solved.evaluations;
+  out.results.reserve(solved.items.size());
+  for (query::SolveResult& item : solved.items) {
+    out.results.push_back(ResultSet(
+        std::move(item), impl_->prepared.goal.args.size(),
+        impl_->engine->pool(), impl_->engine->symbols(), keepalive));
+  }
+  return out;
+}
+
 ResultSet PreparedQuery::Execute(const query::SolveOptions& options) const {
-  query::SolveResult result = impl_->solver.Execute(
-      impl_->prepared, impl_->engine->edb(), impl_->bound, options);
-  impl_->executions.fetch_add(1, std::memory_order_relaxed);
-  return ResultSet(std::move(result), impl_->prepared.goal.args.size(),
-                   impl_->engine->pool(), impl_->engine->symbols(),
-                   /*keepalive=*/nullptr);
+  return std::move(Run(impl_->engine->edb(), /*base_domain=*/nullptr,
+                       /*keepalive=*/nullptr, {&impl_->bound, 1}, options)
+                       .results.front());
 }
 
 ResultSet PreparedQuery::Execute(const Snapshot& snapshot,
                                  const query::SolveOptions& options) const {
-  if (!snapshot.valid()) {
-    return ResultSet(
-        Status::InvalidArgument("invalid snapshot (default-constructed?)"));
-  }
-  query::SolveResult result =
-      impl_->solver.Execute(impl_->prepared, snapshot.db(), impl_->bound,
-                            options, snapshot.domain_base());
-  impl_->executions.fetch_add(1, std::memory_order_relaxed);
-  return ResultSet(std::move(result), impl_->prepared.goal.args.size(),
-                   impl_->engine->pool(), impl_->engine->symbols(),
-                   snapshot.shared());
+  return ExecuteWith(snapshot, impl_->bound, options);
 }
 
 ResultSet PreparedQuery::ExecuteWith(
@@ -119,20 +126,23 @@ ResultSet PreparedQuery::ExecuteWith(
     return ResultSet(
         Status::InvalidArgument("invalid snapshot (default-constructed?)"));
   }
-  query::SolveResult result = impl_->solver.Execute(
-      impl_->prepared, snapshot.db(), params, options,
-      snapshot.domain_base());
-  impl_->executions.fetch_add(1, std::memory_order_relaxed);
-  return ResultSet(std::move(result), impl_->prepared.goal.args.size(),
-                   impl_->engine->pool(), impl_->engine->symbols(),
-                   snapshot.shared());
+  return std::move(Run(snapshot.db(), snapshot.domain_base(),
+                       snapshot.shared(), {&params, 1}, options)
+                       .results.front());
 }
 
-const query::PreparedGoal& PreparedQuery::prepared_goal() const {
-  return impl_->prepared;
+BatchResultSet PreparedQuery::ExecuteBatch(
+    const Snapshot& snapshot, std::span<const query::Binding> bindings,
+    const query::SolveOptions& options) const {
+  if (!snapshot.valid()) {
+    BatchResultSet out;
+    out.status =
+        Status::InvalidArgument("invalid snapshot (default-constructed?)");
+    return out;
+  }
+  return Run(snapshot.db(), snapshot.domain_base(), snapshot.shared(),
+             bindings, options);
 }
-
-Engine* PreparedQuery::engine() const { return impl_->engine; }
 
 PreparedQueryStats PreparedQuery::stats() const {
   PreparedQueryStats stats;

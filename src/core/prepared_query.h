@@ -1,9 +1,8 @@
 // seqlog: prepared (parameterized) goals.
 //
-// A PreparedQuery is the compile-once/execute-many form of Engine::Solve
-// for the paper's point-query workloads (suffix membership, genome
-// lookups — programs interrogated millions of times with varying
-// constants):
+// A PreparedQuery is the compile-once/execute-many form of a goal for
+// the paper's point-query workloads (suffix membership, genome lookups —
+// programs interrogated millions of times with varying constants):
 //
 //   auto pq = engine.Prepare("?- suffix($1).");
 //   pq->Bind(1, "acgt");
@@ -13,16 +12,19 @@
 //
 // Prepare parses the goal ONCE, adorns and magic-rewrites the program
 // ONCE (query/solver.h), and compiles the rewritten program ONCE into a
-// cached evaluator. Execute only swaps the magic *seed fact* — rebinding
-// a parameter never re-parses, never re-rewrites, never recompiles; the
-// stats() counters prove it (goal_parses and magic_rewrites stay at
-// their prepare-time values while executions grows).
+// cached evaluator. Every execution — one binding through Execute or
+// ExecuteWith, many through ExecuteBatch — runs query::Solver::Execute,
+// which only injects the magic *seed facts*: rebinding a parameter never
+// re-parses, never re-rewrites, never recompiles; the stats() counters
+// prove it (goal_parses and magic_rewrites stay at their prepare-time
+// values while executions grows).
 //
 // Threading: Bind mutates shared state — bind before handing the query
-// to worker threads. Execute(snapshot) is const and thread-safe: many
-// threads may execute one PreparedQuery against one (or several)
-// snapshots concurrently while the engine keeps accepting facts.
-// Execute() against the live EDB is NOT safe against concurrent AddFact.
+// to worker threads. Execute(snapshot), ExecuteWith and ExecuteBatch are
+// const and thread-safe: many threads may execute one PreparedQuery
+// against one (or several) snapshots concurrently while the engine keeps
+// accepting facts. Execute() against the live EDB is NOT safe against
+// concurrent AddFact.
 //
 // Lifetime: a PreparedQuery borrows the Engine's catalog/pool/registry
 // and must not outlive it. Loading a different program into the engine
@@ -34,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,16 +50,25 @@
 namespace seqlog {
 
 class Engine;
-namespace serve {
-class BatchExecutor;
-}  // namespace serve
 
 /// Counters proving what the prepared path does (and does not) do.
 struct PreparedQueryStats {
   size_t goal_parses = 0;     ///< 1 after Prepare, never grows
   size_t magic_rewrites = 0;  ///< 1 after Prepare (0 for EDB goals)
   size_t plan_compilations = 0;  ///< 1 after Prepare (0 for EDB goals)
-  uint64_t executions = 0;    ///< grows with every Execute
+  uint64_t executions = 0;    ///< grows with every binding answered
+};
+
+/// The answers of one ExecuteBatch call, in binding order.
+struct BatchResultSet {
+  /// kInvalidArgument for an invalid snapshot, else the run's status
+  /// (per-binding failures do NOT fail the batch; see the per-ResultSet
+  /// statuses).
+  Status status;
+  std::vector<ResultSet> results;
+  /// Fixpoint runs performed: 1, or 0 for an extensional goal, an empty
+  /// batch or one whose bindings all failed.
+  size_t runs = 0;
 };
 
 /// One goal shape, parsed/adorned/rewritten/compiled once by
@@ -112,18 +124,31 @@ class PreparedQuery {
                         const std::vector<std::optional<SeqId>>& params,
                         const query::SolveOptions& options = {}) const;
 
+  /// Executes every binding of `bindings` (each like ExecuteWith's
+  /// `params`) against a published snapshot in ONE fixpoint run.
+  /// results[i] is answer-identical to ExecuteWith(snapshot,
+  /// bindings[i]) under the parity condition of docs/SERVING.md; only
+  /// the run counters are shared. Const and thread-safe like
+  /// ExecuteWith. An empty batch returns OK with no results and zero
+  /// runs.
+  BatchResultSet ExecuteBatch(const Snapshot& snapshot,
+                              std::span<const query::Binding> bindings,
+                              const query::SolveOptions& options = {}) const;
+
   /// Prepare/execution counters (see struct comment).
   PreparedQueryStats stats() const;
 
  private:
   friend class Engine;
-  /// The batch tier reads the compiled PreparedGoal (and the owning
-  /// engine) to run many bindings in one fixpoint (serve/batch_executor.h).
-  friend class serve::BatchExecutor;
-  /// Friendship accessors for the batch tier (Impl is .cc-private).
-  const query::PreparedGoal& prepared_goal() const;
-  Engine* engine() const;
   struct Impl;
+  /// The one execution path: query::Solver::Execute over `db` for every
+  /// binding, wrapped in ResultSets that pin `keepalive`. Every public
+  /// Execute* is a thin call into it.
+  BatchResultSet Run(const Database& db,
+                     std::shared_ptr<const ExtendedDomain> base_domain,
+                     std::shared_ptr<const Database> keepalive,
+                     std::span<const query::Binding> bindings,
+                     const query::SolveOptions& options) const;
   explicit PreparedQuery(std::unique_ptr<Impl> impl);
   /// Factory for Engine::Prepare (Impl is defined in the .cc).
   static PreparedQuery Create(Engine* engine, std::string goal_text,

@@ -3,10 +3,8 @@
 // ResultSet is the answer container of the prepared/snapshot query API
 // (core/prepared_query.h): raw SeqId tuples plus the solve status and
 // stats, with *on-demand* rendering — nothing is stringified until a
-// caller asks for a Value. This replaces the eager
-// sort-and-render-everything materialization of the legacy
-// Engine::Solve/Query surface on the hot path; Materialize() recovers
-// the legacy behaviour (rendered rows, lexicographically sorted) for
+// caller asks for a Value. Materialize() renders everything eagerly
+// (rows lexicographically sorted, the shape of Engine::Query) for
 // display and tests.
 //
 // Lifetimes (Engine ⊃ Snapshot ⊃ ResultSet): a ResultSet borrows the
@@ -35,9 +33,6 @@ namespace seqlog {
 
 class ResultSet;
 class Row;
-namespace serve {
-class BatchExecutor;
-}  // namespace serve
 
 /// One answer cell: an interned sequence, rendered only on request.
 class Value {
@@ -78,7 +73,7 @@ class Row {
   size_t index_;
 };
 
-/// The answers of one Execute/Solve: status + stats + raw tuples.
+/// The answers of one executed binding: status + stats + raw tuples.
 class ResultSet {
  public:
   /// An empty, OK result (arity 0, no rows).
@@ -140,20 +135,15 @@ class ResultSet {
   const_iterator begin() const { return const_iterator(this, 0); }
   const_iterator end() const { return const_iterator(this, size()); }
 
-  /// Legacy materialization: every row rendered, rows sorted
-  /// lexicographically — exactly the shape of SolveOutcome::answers and
-  /// Engine::Query. Costs one string per cell; prefer the cursor on hot
-  /// paths.
+  /// Eager materialization: every row rendered, rows sorted
+  /// lexicographically — exactly the shape of Engine::Query. Costs one
+  /// string per cell; prefer the cursor on hot paths.
   std::vector<std::vector<std::string>> Materialize() const;
 
  private:
-  friend class Engine;
   friend class PreparedQuery;
   friend class Row;
   friend class Value;
-  /// The batch tier materializes one ResultSet per batch item
-  /// (serve/batch_executor.h).
-  friend class serve::BatchExecutor;
 
   /// Takes ownership of the solve result's tuples; `keepalive` pins the
   /// snapshot the result was computed from (may be null for live-EDB

@@ -48,7 +48,8 @@ Evaluator::Evaluator(Catalog* catalog, SequencePool* pool,
                      const FunctionRegistry* registry)
     : catalog_(catalog), pool_(pool), registry_(registry) {}
 
-Status Evaluator::SetProgram(const ast::Program& program) {
+Status Evaluator::SetProgram(const ast::Program& program,
+                             const std::set<std::string>& demand) {
   SEQLOG_RETURN_IF_ERROR(ast::Validate(program));
   std::vector<ClausePlan> plans;
   plans.reserve(program.clauses.size());
@@ -57,8 +58,19 @@ Status Evaluator::SetProgram(const ast::Program& program) {
                             CompileClause(clause, catalog_, registry_));
     plans.push_back(std::move(plan));
   }
+  std::vector<bool> demand_preds;
+  for (const std::string& name : demand) {
+    // A demand predicate no clause mentions has no facts to exclude.
+    Result<PredId> pred = catalog_->Find(name);
+    if (!pred.ok()) continue;
+    if (pred.value() >= demand_preds.size()) {
+      demand_preds.resize(pred.value() + 1, false);
+    }
+    demand_preds[pred.value()] = true;
+  }
   program_ = program;
   plans_ = std::move(plans);
+  demand_ = std::move(demand_preds);
   return Status::Ok();
 }
 
@@ -70,12 +82,13 @@ Status Evaluator::LoadFacts(const Database& db, bool close,
     if (rel->empty()) continue;
     state->model->GetOrCreate(pred)->Reserve(rel->size());
     state->delta->GetOrCreate(pred)->Reserve(rel->size());
+    const bool roots_domain = RootsDomain(pred);
     for (uint32_t i = 0; i < rel->size(); ++i) {
       TupleView row = rel->RowAt(i);
       state->model->Insert(pred, row);
       state->delta->Insert(pred, row);
       if (close) {
-        roots.insert(roots.end(), row.begin(), row.end());
+        if (roots_domain) roots.insert(roots.end(), row.begin(), row.end());
       } else {
         SEQLOG_DCHECK(std::all_of(row.begin(), row.end(), [&](SeqId arg) {
           return state->domain->Contains(arg);
@@ -165,12 +178,12 @@ Status Evaluator::FireSubsetOnce(const std::vector<size_t>& subset,
 
 // Round barrier: merges the round's scratch database into the model.
 // MergeFrom invokes the callback once per atom new to the model, which
-// adds it to the next delta and closes its argument sequences into the
-// domain. Closing the roots the domain lacks is accounted into
-// EvalStats::domain_merge_millis, the rest of the merge into
-// relation_merge_millis. Only those roots are timed, not every merged
-// fact: most facts bring no new root, and two clock reads per fact
-// would cost more than the work they measure.
+// adds it to the next delta and, unless it is a demand fact, closes its
+// argument sequences into the domain. Closing the roots the domain
+// lacks is accounted into EvalStats::domain_merge_millis, the rest of
+// the merge into relation_merge_millis. Only those roots are timed, not
+// every merged fact: most facts bring no new root, and two clock reads
+// per fact would cost more than the work they measure.
 Status Evaluator::MergeRound(RunState* state) const {
   const auto merge_start = std::chrono::steady_clock::now();
   auto delta_new = std::make_unique<Database>(catalog_);
@@ -182,6 +195,7 @@ Status Evaluator::MergeRound(RunState* state) const {
       *state->scratch, [&](PredId pred, TupleView row) -> Status {
         ++state->last_merged_new;
         delta_new->Insert(pred, row);
+        if (!RootsDomain(pred)) return Status::Ok();
         for (SeqId arg : row) {
           if (state->domain->Contains(arg)) continue;
           const auto closure_start = std::chrono::steady_clock::now();

@@ -29,6 +29,8 @@
 #define SEQLOG_EVAL_ENGINE_H_
 
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "ast/clause.h"
@@ -72,9 +74,13 @@ class Evaluator {
   Evaluator(Catalog* catalog, SequencePool* pool,
             const FunctionRegistry* registry);
 
-  /// Compiles `program`; replaces any previous program. Not safe to call
-  /// concurrently with Evaluate.
-  Status SetProgram(const ast::Program& program);
+  /// Compiles `program`; replaces any previous program. Facts of the
+  /// `demand` predicates (a magic rewrite's magic predicates,
+  /// query/magic.h) join the model but never root the extended active
+  /// domain: they carry goal values, which are not data (Definition 3).
+  /// Not safe to call concurrently with Evaluate.
+  Status SetProgram(const ast::Program& program,
+                    const std::set<std::string>& demand = {});
 
   const ast::Program& program() const { return program_; }
   const std::vector<ClausePlan>& plans() const { return plans_; }
@@ -92,8 +98,8 @@ class Evaluator {
   /// extended active domain on a frozen `base_domain` (may be null).
   /// The base MUST be the domain of exactly `edb`'s sequences
   /// (core/snapshot.h publishes such a pair; debug builds check it): the
-  /// run then closes only `extra_facts` and the sequences it derives,
-  /// never the database itself.
+  /// run then closes only `extra_facts` (demand facts excepted) and the
+  /// sequences it derives, never the database itself.
   EvalOutcome Evaluate(const Database& edb, const Database* extra_facts,
                        std::shared_ptr<const ExtendedDomain> base_domain,
                        const EvalOptions& options, Database* model,
@@ -140,8 +146,8 @@ class Evaluator {
                    const EvalOptions& options, Database* model,
                    RunState* state) const;
   /// Loads every atom of `db` into the model and delta, then, if
-  /// `close`, closes the argument sequences into the domain; otherwise
-  /// the domain must already hold them.
+  /// `close`, closes the argument sequences of all but demand facts into
+  /// the domain; otherwise the domain must already hold them.
   Status LoadFacts(const Database& db, bool close, RunState* state) const;
   /// One least-fixpoint loop over the given clause subset; shared by all
   /// strategies. `first_full` forces a full firing pass first — cold
@@ -162,6 +168,11 @@ class Evaluator {
   /// domain and growth stats.
   Status MergeRound(RunState* state) const;
 
+  /// False for the `demand` predicates of SetProgram.
+  bool RootsDomain(PredId pred) const {
+    return pred >= demand_.size() || !demand_[pred];
+  }
+
   Status EvaluateFlat(const EvalOptions& options, RunState* state) const;
   Status EvaluateStratified(const EvalOptions& options,
                             RunState* state) const;
@@ -171,6 +182,8 @@ class Evaluator {
   const FunctionRegistry* registry_;
   ast::Program program_;
   std::vector<ClausePlan> plans_;
+  /// Indexed by PredId: true for the demand predicates of SetProgram.
+  std::vector<bool> demand_;
 };
 
 }  // namespace eval

@@ -44,11 +44,8 @@ std::string MagicName(const std::string& predicate,
   return StrCat("magic__", predicate, "__", adornment);
 }
 
-Result<MagicProgram> MagicRewrite(
-    const ast::Program& program, const AdornmentResult& adornment,
-    const std::vector<std::optional<SeqId>>& goal_values,
-    const std::set<std::string>& edb_predicates,
-    const MagicOptions& options) {
+Result<MagicProgram> MagicRewrite(const ast::Program& program,
+                                  const AdornmentResult& adornment) {
   MagicProgram out;
   if (adornment.reachable.empty()) {
     return Status::InvalidArgument("no reachable adorned predicates");
@@ -58,54 +55,26 @@ Result<MagicProgram> MagicRewrite(
       AdornedName(goal_predicate, adornment.goal_adornment);
   out.seed_predicate =
       MagicName(goal_predicate, adornment.goal_adornment);
+  // An all-free goal seeds a nullary magic fact, which simply switches
+  // on every reachable clause — the degenerate full evaluation.
   for (size_t j = 0; j < adornment.goal_adornment.size(); ++j) {
     if (adornment.goal_adornment[j] == 'b') out.seed_positions.push_back(j);
-  }
-
-  // Seed: the goal's ground values at the bound positions of the goal
-  // adornment (an all-free goal seeds a nullary magic fact, which simply
-  // switches on every reachable clause — the degenerate full evaluation).
-  // In seed_as_facts mode the caller supplies the seed as data instead,
-  // so the rewritten program is independent of the goal's values.
-  if (!options.seed_as_facts) {
-    if (goal_values.size() != adornment.goal_adornment.size()) {
-      return Status::InvalidArgument("goal value count != goal arity");
-    }
-    std::vector<ast::SeqTermPtr> seed_args;
-    for (size_t j = 0; j < goal_values.size(); ++j) {
-      if (adornment.goal_adornment[j] != 'b') continue;
-      if (!goal_values[j].has_value()) {
-        return Status::Internal("bound goal position without a value");
-      }
-      seed_args.push_back(ast::MakeConstant(*goal_values[j]));
-    }
-    ast::Clause seed;
-    seed.head = ast::MakePredicateAtom(out.seed_predicate,
-                                       std::move(seed_args));
-    out.program.clauses.push_back(std::move(seed));
-    ++out.seed_clauses;
   }
 
   for (const auto& [pred, adorn] : adornment.reachable) {
     out.magic_predicates.insert(MagicName(pred, adorn));
   }
 
-  // Import clauses for predicates that are both derived and extensional:
-  // the adorned copy must also see the extensional facts, which stay
-  // under the original name. import_all_reachable covers predicates that
-  // may only *later* receive facts (prepared queries outlive the rewrite).
+  // Import clauses: the adorned copy must also see facts stored under
+  // the original name — for every reachable predicate, since a prepared
+  // goal outlives the rewrite and a predicate may receive facts later.
   for (const auto& [pred, adorn] : adornment.reachable) {
-    if (!options.import_all_reachable &&
-        edb_predicates.find(pred) == edb_predicates.end()) {
-      continue;
-    }
     std::vector<ast::SeqTermPtr> vars = FreshVariables(adorn.size());
     ast::Clause import;
     import.head = ast::MakePredicateAtom(AdornedName(pred, adorn), vars);
     import.body.push_back(MakeGuard(pred, import.head, adorn));
     import.body.push_back(ast::MakePredicateAtom(pred, std::move(vars)));
     out.program.clauses.push_back(std::move(import));
-    ++out.import_clauses;
   }
 
   for (const AdornedClause& ac : adornment.clauses) {
@@ -130,7 +99,6 @@ Result<MagicProgram> MagicRewrite(
         propagation.body.push_back(std::move(prior));
       }
       out.program.clauses.push_back(std::move(propagation));
-      ++out.propagation_clauses;
     }
 
     // The guarded adorned clause itself.
@@ -147,7 +115,6 @@ Result<MagicProgram> MagicRewrite(
       guarded.body.push_back(std::move(literal));
     }
     out.program.clauses.push_back(std::move(guarded));
-    ++out.guarded_clauses;
   }
   return out;
 }

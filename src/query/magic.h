@@ -3,17 +3,21 @@
 // MagicRewrite turns an adorned, goal-reachable program slice into a new
 // program whose bottom-up fixpoint derives only goal-relevant facts:
 //
-//  * a seed fact  magic__p__a(c1,...,cm) :- true.  carries the goal's
-//    ground arguments at the bound positions of the goal adornment;
+//  * the goal's values arrive as data: the caller inserts one *seed fact*
+//    magic__p__a(c1,...,cm) per binding — the values at the bound
+//    positions of the goal adornment — so one rewrite serves every
+//    binding of the same goal shape (core/prepared_query.h);
 //  * every adorned clause p^a gets a *guard*: its head is renamed to
 //    p__a and  magic__p__a(<head terms at bound positions>)  is prepended
 //    to the body, so the clause only fires for demanded bindings;
 //  * for every IDB body literal q^b a *magic propagation clause*
 //      magic__q__b(<q's bound args>) :- guard, <literals before q>.
 //    pushes demand sideways through the clause;
-//  * predicates holding extensional facts keep their original names; an
-//    adorned predicate that also has extensional facts gets an *import*
-//    clause  p__a(V1,...,Vk) :- magic__p__a(...), p(V1,...,Vk).
+//  * every reachable adorned predicate gets an *import* clause
+//    p__a(V1,...,Vk) :- magic__p__a(...), p(V1,...,Vk).  so it also
+//    sees facts stored under its original name — including facts added
+//    after the rewrite, which a prepared goal answers over later
+//    snapshots.
 //
 // The rewritten program is ordinary Sequence/Transducer Datalog: it is
 // validated by ast::Validate and evaluated by the unmodified semi-naive
@@ -25,7 +29,6 @@
 #ifndef SEQLOG_QUERY_MAGIC_H_
 #define SEQLOG_QUERY_MAGIC_H_
 
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,7 +36,6 @@
 #include "ast/clause.h"
 #include "base/result.h"
 #include "query/adornment.h"
-#include "sequence/sequence_pool.h"
 
 namespace seqlog {
 namespace query {
@@ -48,58 +50,27 @@ std::string AdornedName(const std::string& predicate,
 std::string MagicName(const std::string& predicate,
                       const Adornment& adornment);
 
-/// How the rewrite handles the goal seed and extensional imports.
-struct MagicOptions {
-  /// When false (classic mode), the goal's ground values are baked into a
-  /// seed *clause* — the rewrite is specific to one goal instance. When
-  /// true, no seed clause is generated: the caller injects the seed as a
-  /// plain fact of `MagicProgram::seed_predicate` at evaluation time, so
-  /// one rewrite serves every binding of the same goal shape. This is the
-  /// prepared-query mode (core/prepared_query.h): rebinding swaps one
-  /// fact, never the program.
-  bool seed_as_facts = false;
-  /// When false, import clauses are generated only for `edb_predicates`
-  /// (the predicates carrying facts *now*). When true, every reachable
-  /// adorned predicate gets one, so the rewrite stays correct for facts
-  /// added after the rewrite — required for prepared queries executed
-  /// against later snapshots.
-  bool import_all_reachable = false;
-};
-
 /// The rewritten program plus bookkeeping for the solver.
 struct MagicProgram {
   ast::Program program;
   /// Adorned name of the goal predicate; the goal's answers are exactly
   /// this predicate's tuples (after the solver's ground-argument filter).
   std::string answer_predicate;
-  /// Name of the goal's magic predicate. With seed_as_facts the caller
-  /// must insert one fact for it — the goal values at `seed_positions` —
-  /// before evaluating; otherwise it is informational.
+  /// Name of the goal's magic predicate. The caller inserts one fact for
+  /// it per binding — the goal values at `seed_positions` — before
+  /// evaluating.
   std::string seed_predicate;
   /// Goal argument positions (ascending) forming the seed tuple: the
   /// bound positions of the goal adornment.
   std::vector<size_t> seed_positions;
-  /// Names of all magic predicates (for demand-size statistics).
+  /// Names of all magic predicates. Their facts are demand, not data:
+  /// they never root the extended active domain (eval/engine.h).
   std::set<std::string> magic_predicates;
-  size_t seed_clauses = 0;
-  size_t guarded_clauses = 0;
-  size_t propagation_clauses = 0;
-  size_t import_clauses = 0;
 };
 
-/// Rewrites the adorned slice of `program`. `goal_values[j]` holds the
-/// interned ground value of goal argument j (nullopt when free); values
-/// at adornment-bound positions become the magic seed clause (classic
-/// mode; with options.seed_as_facts the values are unused and may be
-/// empty). `edb_predicates` lists predicates that carry extensional
-/// facts, so adorned copies of predicates that are both derived and
-/// extensional import their facts (superseded by
-/// options.import_all_reachable).
-Result<MagicProgram> MagicRewrite(
-    const ast::Program& program, const AdornmentResult& adornment,
-    const std::vector<std::optional<SeqId>>& goal_values,
-    const std::set<std::string>& edb_predicates,
-    const MagicOptions& options = {});
+/// Rewrites the adorned slice of `program` (see the file comment).
+Result<MagicProgram> MagicRewrite(const ast::Program& program,
+                                  const AdornmentResult& adornment);
 
 }  // namespace query
 }  // namespace seqlog

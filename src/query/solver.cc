@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "analysis/safety.h"
+#include "base/logging.h"
 #include "base/string_util.h"
 #include "parser/parser.h"
 
@@ -130,28 +130,21 @@ Result<std::vector<std::optional<SeqId>>> ResolveValues(
   return values;
 }
 
-/// Builds the magic seed tuple for one resolved goal instance: the
-/// values at the goal's bound positions, in seed-position order.
-Result<std::vector<SeqId>> BuildSeedTuple(
-    const PreparedGoal& prepared,
-    const std::vector<std::optional<SeqId>>& values) {
-  std::vector<SeqId> seed_tuple;
-  seed_tuple.reserve(prepared.magic.seed_positions.size());
+/// The magic seed tuple of one resolved goal instance: its values at the
+/// goal's bound positions, in seed-position order. Every bound position
+/// is ground or a parameter, so ResolveValues gave it a value.
+std::vector<SeqId> SeedTuple(const PreparedGoal& prepared,
+                             const std::vector<std::optional<SeqId>>& values) {
+  std::vector<SeqId> seed;
+  seed.reserve(prepared.magic.seed_positions.size());
   for (size_t j : prepared.magic.seed_positions) {
-    const std::optional<SeqId>& v = values[j];
-    if (!v.has_value()) {
-      return Status::Internal("bound goal position without a value");
-    }
-    seed_tuple.push_back(*v);
+    SEQLOG_DCHECK(values[j].has_value());
+    seed.push_back(*values[j]);
   }
-  return seed_tuple;
+  return seed;
 }
 
 }  // namespace
-
-Solver::Solver(Catalog* catalog, SequencePool* pool,
-               const eval::FunctionRegistry* registry)
-    : catalog_(catalog), pool_(pool), registry_(registry) {}
 
 Result<PreparedGoal> Solver::Prepare(const ast::Program& program,
                                      const ast::Atom& goal) const {
@@ -233,12 +226,8 @@ Result<PreparedGoal> Solver::Prepare(const ast::Program& program,
   // so the rewrite (and its compiled plans) is shared by all bindings.
   SEQLOG_ASSIGN_OR_RETURN(AdornmentResult adornment,
                           AdornProgram(program, goal.predicate, ground));
-  MagicOptions magic_options;
-  magic_options.seed_as_facts = true;
-  magic_options.import_all_reachable = true;
-  SEQLOG_ASSIGN_OR_RETURN(
-      MagicProgram magic,
-      MagicRewrite(program, adornment, {}, {}, magic_options));
+  SEQLOG_ASSIGN_OR_RETURN(MagicProgram magic,
+                          MagicRewrite(program, adornment));
   out.goal_adornment = adornment.goal_adornment;
   out.adorned_predicates = adornment.reachable.size();
 
@@ -269,277 +258,100 @@ Result<PreparedGoal> Solver::Prepare(const ast::Program& program,
     }
   }
 
-  // Compile the rewritten program once; Execute reuses the plans.
+  // Compile the rewritten program once; Execute reuses the plans. The
+  // magic facts carry goal values, not data, so they never root the
+  // run's domain: a clause that enumerates it sees only what the data
+  // and the derivations put there, as in the full fixpoint.
   auto evaluator =
       std::make_shared<eval::Evaluator>(catalog_, pool_, registry_);
-  SEQLOG_RETURN_IF_ERROR(evaluator->SetProgram(magic.program));
+  SEQLOG_RETURN_IF_ERROR(
+      evaluator->SetProgram(magic.program, magic.magic_predicates));
   out.evaluator = std::move(evaluator);
   // SetProgram registered every predicate of the rewrite in the catalog.
   SEQLOG_ASSIGN_OR_RETURN(out.seed_pred,
                           catalog_->Find(magic.seed_predicate));
   SEQLOG_ASSIGN_OR_RETURN(out.answer_pred,
                           catalog_->Find(magic.answer_predicate));
+  for (const std::string& name : magic.magic_predicates) {
+    SEQLOG_ASSIGN_OR_RETURN(PredId pred, catalog_->Find(name));
+    out.magic_preds.push_back(pred);
+  }
   out.magic = std::move(magic);
   return out;
 }
 
-SolveResult Solver::Execute(
+BatchSolveResult Solver::Execute(
     const PreparedGoal& prepared, const Database& edb,
-    const std::vector<std::optional<SeqId>>& params,
-    const SolveOptions& options,
-    std::shared_ptr<const ExtendedDomain> base_domain) const {
-  SolveResult result;
-  result.stats.goal_adornment = prepared.goal_adornment;
-  result.stats.adorned_predicates = prepared.adorned_predicates;
-  result.stats.rewritten_clauses = prepared.magic.program.clauses.size();
-
-  Result<std::vector<std::optional<SeqId>>> values =
-      ResolveValues(prepared, params);
-  if (!values.ok()) {
-    result.status = values.status();
-    return result;
-  }
-
-  if (prepared.edb) {
-    result.answers = FilterRelation(edb.Get(prepared.edb_pred),
-                                    values.value(), prepared.var_groups);
-    result.stats.answers = result.answers.size();
-    result.status = Status::Ok();
-    return result;
-  }
-
-  // Inject the goal's bound values as the magic seed fact and evaluate
-  // the cached rewrite into a scratch database with the shared
-  // catalog/pool, so extensional PredIds and SeqIds line up.
-  Database seeds(catalog_);
-  Result<std::vector<SeqId>> seed_tuple =
-      BuildSeedTuple(prepared, values.value());
-  if (!seed_tuple.ok()) {
-    result.status = seed_tuple.status();
-    return result;
-  }
-  seeds.Insert(prepared.seed_pred, seed_tuple.value());
-
-  Database scratch(catalog_);
-  eval::EvalOutcome outcome = prepared.evaluator->Evaluate(
-      edb, &seeds, std::move(base_domain), options.eval, &scratch);
-  result.stats.eval = std::move(outcome.stats);
-  const size_t edb_facts = edb.TotalFacts();
-  const size_t total_facts = scratch.TotalFacts();
-  result.stats.derived_facts =
-      total_facts > edb_facts ? total_facts - edb_facts : 0;
-  for (const std::string& name : prepared.magic.magic_predicates) {
-    Result<PredId> pred = catalog_->Find(name);
-    if (!pred.ok()) continue;
-    const Relation* rel = scratch.Get(pred.value());
-    if (rel != nullptr) result.stats.magic_facts += rel->size();
-  }
-
-  // Extract the goal's answers (also on budget exhaustion: like
-  // Evaluate, Execute keeps the partial result it has).
-  result.answers = FilterRelation(scratch.Get(prepared.answer_pred),
-                                  values.value(), prepared.var_groups);
-  result.stats.answers = result.answers.size();
-  result.status = std::move(outcome.status);
-  return result;
-}
-
-Result<std::shared_ptr<const eval::Evaluator>> Solver::FuseGoals(
-    const std::vector<const PreparedGoal*>& goals,
-    const SymbolTable& symbols) const {
-  // Union the rewrites clause by clause. Goals sharing an adorned
-  // subgoal predicate contribute byte-identical clauses (AdornedName is
-  // deterministic), so rendering is a sound dedup key.
-  ast::Program fused;
-  std::unordered_set<std::string> seen;
-  size_t rewrites = 0;
-  bool each_strongly_safe = true;
-  for (const PreparedGoal* goal : goals) {
-    if (goal == nullptr || goal->edb) continue;
-    ++rewrites;
-    each_strongly_safe =
-        each_strongly_safe &&
-        analysis::AnalyzeSafety(goal->magic.program).strongly_safe;
-    for (const ast::Clause& clause : goal->magic.program.clauses) {
-      std::string key = ast::ToString(clause, *pool_, symbols);
-      if (!seen.insert(std::move(key)).second) continue;
-      fused.clauses.push_back(clause);
-    }
-  }
-  if (rewrites < 2) return std::shared_ptr<const eval::Evaluator>();
-
-  // Shared subgoals can route one goal's guard edges through another
-  // goal's clauses: if that closes a constructive cycle no individual
-  // rewrite has, a fused run could diverge where the per-goal runs
-  // would not — refuse, the caller falls back to per-goal runs.
-  if (each_strongly_safe &&
-      !analysis::AnalyzeSafety(fused).strongly_safe) {
-    return Status::FailedPrecondition(
-        "fusing these goals closes a constructive cycle that no "
-        "individual rewrite has; execute them as separate runs");
-  }
-
-  auto evaluator =
-      std::make_shared<eval::Evaluator>(catalog_, pool_, registry_);
-  SEQLOG_RETURN_IF_ERROR(evaluator->SetProgram(fused));
-  return std::shared_ptr<const eval::Evaluator>(std::move(evaluator));
-}
-
-BatchSolveResult Solver::ExecuteBatch(
-    const std::vector<const PreparedGoal*>& goals,
-    const eval::Evaluator* fused, const Database& edb,
-    const std::vector<BatchItem>& items, const SolveOptions& options,
+    std::span<const Binding> bindings, const SolveOptions& options,
     std::shared_ptr<const ExtendedDomain> base_domain) const {
   BatchSolveResult out;
-  out.items.resize(items.size());
+  out.items.resize(bindings.size());
 
-  // Per-item admission: resolve values now, answer EDB goals by direct
-  // scan now, and queue IDB items for the shared run(s).
-  std::vector<std::vector<std::optional<SeqId>>> values(items.size());
-  std::vector<size_t> idb_items;
-  for (size_t i = 0; i < items.size(); ++i) {
-    SolveResult& item_result = out.items[i];
-    if (items[i].goal >= goals.size() || goals[items[i].goal] == nullptr) {
-      item_result.status = Status::OutOfRange(
-          StrCat("batch item ", i, " references goal ", items[i].goal,
-                 " of a batch over ", goals.size(), " goal(s)"));
-      continue;
-    }
-    const PreparedGoal& prepared = *goals[items[i].goal];
-    item_result.stats.goal_adornment = prepared.goal_adornment;
-    item_result.stats.adorned_predicates = prepared.adorned_predicates;
-    item_result.stats.rewritten_clauses =
-        prepared.magic.program.clauses.size();
+  // Resolve every binding: extensional goals are answered by a scan now,
+  // the others contribute their seed fact to the one run.
+  std::vector<std::vector<std::optional<SeqId>>> values(bindings.size());
+  Database seeds(catalog_);
+  size_t pending = 0;  // bindings awaiting the run's answers
+  for (size_t i = 0; i < bindings.size(); ++i) {
+    SolveResult& item = out.items[i];
+    item.stats.goal_adornment = prepared.goal_adornment;
+    item.stats.adorned_predicates = prepared.adorned_predicates;
+    item.stats.rewritten_clauses = prepared.magic.program.clauses.size();
     Result<std::vector<std::optional<SeqId>>> resolved =
-        ResolveValues(prepared, items[i].params);
+        ResolveValues(prepared, bindings[i]);
     if (!resolved.ok()) {
-      item_result.status = resolved.status();
+      item.status = resolved.status();
       continue;
     }
     values[i] = std::move(resolved).value();
     if (prepared.edb) {
-      item_result.answers = FilterRelation(edb.Get(prepared.edb_pred),
-                                           values[i], prepared.var_groups);
-      item_result.stats.answers = item_result.answers.size();
-      item_result.status = Status::Ok();
+      item.answers = FilterRelation(edb.Get(prepared.edb_pred), values[i],
+                                    prepared.var_groups);
+      item.stats.answers = item.answers.size();
       continue;
     }
-    idb_items.push_back(i);
+    seeds.Insert(prepared.seed_pred, SeedTuple(prepared, values[i]));
+    ++pending;
   }
-  if (idb_items.empty()) {
-    out.status = Status::Ok();
-    return out;
-  }
+  if (pending == 0) return out;
 
-  // Partition the IDB items into runs: one shared run with the fused
-  // evaluator, or one run per distinct goal without it. Items of one
-  // run inject their seed facts together (duplicate bindings collapse
-  // to one seed — Database relations are sets) and the run's rounds and
-  // domain growth are paid once for all of them.
-  struct Run {
-    const eval::Evaluator* evaluator;
-    std::vector<size_t> members;
-  };
-  std::vector<Run> runs;
-  if (fused != nullptr) {
-    runs.push_back(Run{fused, idb_items});
-  } else {
-    std::map<size_t, size_t> run_of_goal;  // goal index -> runs index
-    for (size_t i : idb_items) {
-      auto [it, added] =
-          run_of_goal.try_emplace(items[i].goal, runs.size());
-      if (added) {
-        runs.push_back(
-            Run{goals[items[i].goal]->evaluator.get(), {}});
-      }
-      runs[it->second].members.push_back(i);
-    }
+  // Evaluate the cached rewrite into a scratch database with the shared
+  // catalog/pool, so extensional PredIds and SeqIds line up.
+  Database scratch(catalog_);
+  eval::EvalOutcome outcome = prepared.evaluator->Evaluate(
+      edb, &seeds, std::move(base_domain), options.eval, &scratch);
+  out.evaluations = 1;
+  out.status = outcome.status;
+  const size_t edb_facts = edb.TotalFacts();
+  const size_t total_facts = scratch.TotalFacts();
+  const size_t derived_facts =
+      total_facts > edb_facts ? total_facts - edb_facts : 0;
+  size_t magic_facts = 0;
+  for (PredId pred : prepared.magic_preds) {
+    const Relation* rel = scratch.Get(pred);
+    if (rel != nullptr) magic_facts += rel->size();
   }
 
-  out.status = Status::Ok();
-  for (const Run& run : runs) {
-    Database seeds(catalog_);
-    bool seeded = false;
-    for (size_t i : run.members) {
-      const PreparedGoal& prepared = *goals[items[i].goal];
-      Result<std::vector<SeqId>> seed_tuple =
-          BuildSeedTuple(prepared, values[i]);
-      if (!seed_tuple.ok()) {
-        out.items[i].status = seed_tuple.status();
-        continue;
-      }
-      seeds.Insert(prepared.seed_pred, seed_tuple.value());
-      seeded = true;
-    }
-    if (!seeded) continue;
-
-    Database scratch(catalog_);
-    eval::EvalOutcome outcome =
-        run.evaluator->Evaluate(edb, &seeds, base_domain, options.eval,
-                                &scratch);
-    ++out.evaluations;
-    out.eval.iterations += outcome.stats.iterations;
-    out.eval.facts += outcome.stats.facts;
-    out.eval.domain_sequences += outcome.stats.domain_sequences;
-    out.eval.derivations += outcome.stats.derivations;
-    out.eval.millis += outcome.stats.millis;
-    out.eval.fire_millis += outcome.stats.fire_millis;
-    out.eval.domain_load_millis += outcome.stats.domain_load_millis;
-    out.eval.domain_merge_millis += outcome.stats.domain_merge_millis;
-    out.eval.relation_merge_millis += outcome.stats.relation_merge_millis;
-    if (!outcome.status.ok() && out.status.ok()) {
-      out.status = outcome.status;
-    }
-
-    // Shared counters of the run, attributed to each member (they are
-    // not per-item separable: the rounds served every member at once).
-    const size_t edb_facts = edb.TotalFacts();
-    const size_t total_facts = scratch.TotalFacts();
-    const size_t derived =
-        total_facts > edb_facts ? total_facts - edb_facts : 0;
-    size_t magic_facts = 0;
-    std::set<std::string> magic_names;
-    for (size_t i : run.members) {
-      const auto& names = goals[items[i].goal]->magic.magic_predicates;
-      magic_names.insert(names.begin(), names.end());
-    }
-    for (const std::string& name : magic_names) {
-      Result<PredId> pred = catalog_->Find(name);
-      if (!pred.ok()) continue;
-      const Relation* rel = scratch.Get(pred.value());
-      if (rel != nullptr) magic_facts += rel->size();
-    }
-
-    // Demultiplex: each member's answers are its goal's answer-predicate
-    // tuples matching the member's bound values — for a magic rewrite
-    // the bound positions are exactly what the seed demanded, so the
-    // filter recovers precisely the answers a solo run would derive
-    // (like Evaluate, a budget-exhausted run keeps partial answers).
-    for (size_t i : run.members) {
-      if (!out.items[i].status.ok()) continue;  // seed construction failed
-      const PreparedGoal& prepared = *goals[items[i].goal];
-      out.items[i].answers =
-          FilterRelation(scratch.Get(prepared.answer_pred), values[i],
-                         prepared.var_groups);
-      out.items[i].stats.answers = out.items[i].answers.size();
-      out.items[i].stats.derived_facts = derived;
-      out.items[i].stats.magic_facts = magic_facts;
-      out.items[i].stats.eval = outcome.stats;
-      out.items[i].status = outcome.status;
+  // Each binding's answers are the answer-predicate tuples matching its
+  // bound values (like Evaluate, a budget-exhausted run keeps partial
+  // answers). The run's counters are shared; the last binding takes
+  // them without a copy.
+  const Relation* answers = scratch.Get(prepared.answer_pred);
+  for (size_t i = 0; i < bindings.size(); ++i) {
+    SolveResult& item = out.items[i];
+    if (!item.status.ok()) continue;
+    item.answers = FilterRelation(answers, values[i], prepared.var_groups);
+    item.stats.answers = item.answers.size();
+    item.stats.derived_facts = derived_facts;
+    item.stats.magic_facts = magic_facts;
+    item.status = outcome.status;
+    if (--pending == 0) {
+      item.stats.eval = std::move(outcome.stats);
+    } else {
+      item.stats.eval = outcome.stats;
     }
   }
   return out;
-}
-
-SolveResult Solver::Solve(const ast::Program& program, const ast::Atom& goal,
-                          const Database& edb, const SolveOptions& options) {
-  Result<PreparedGoal> prepared = Prepare(program, goal);
-  if (!prepared.ok()) {
-    SolveResult result;
-    result.status = prepared.status();
-    return result;
-  }
-  return Execute(prepared.value(), edb, {}, options);
 }
 
 }  // namespace query

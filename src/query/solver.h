@@ -1,24 +1,19 @@
 // seqlog: goal-directed query answering (demand / magic-set evaluation).
 //
-// Two entry points:
-//
-//  * Solver::Solve answers a single goal  ?- p(t1,...,tk).  one-shot: the
-//    program is adorned for the goal's bound arguments (adornment.h),
-//    rewritten with magic sets (magic.h), compiled, and evaluated with
-//    the existing semi-naive machinery into a scratch database. Only
-//    facts demanded by the goal are derived; SolveStats reports how many.
-//
-//  * Solver::Prepare / Solver::Execute split that pipeline for goals that
-//    run many times (the paper's point-query workloads): Prepare performs
-//    the goal analysis, adornment, magic rewrite and clause compilation
-//    ONCE into an immutable PreparedGoal; Execute injects the goal's
-//    (possibly re-bound) constants as a magic *seed fact* — data, not a
-//    clause — and evaluates the cached program. Execute never parses,
-//    never rewrites and never recompiles; it is const and safe to call
-//    from many threads against immutable databases (storage/database.h).
+// Solver::Prepare analyses a goal  ?- p(t1,...,tk).  once: the program is
+// adorned for the goal's bound arguments (adornment.h), rewritten with
+// magic sets (magic.h) and compiled into an immutable PreparedGoal.
+// Solver::Execute is the one way to run it: for a list of bindings it
+// injects one magic *seed fact* per binding — data, not a clause —
+// evaluates the cached rewrite ONCE with the existing semi-naive
+// machinery into a scratch database, and filters each binding's answers
+// from the goal's answer predicate. Only facts demanded by the goal are
+// derived; SolveStats reports how many. Execute never parses, never
+// rewrites and never recompiles; it is const and safe to call from many
+// threads against immutable databases (storage/database.h).
 //
 // Goals may contain `$N` parameter placeholders (parser::ParseGoal);
-// their positions adorn as bound and receive values per Execute call.
+// their positions adorn as bound and receive values per binding.
 //
 // Goal argument shapes: each argument must be a `$N` parameter, a plain
 // variable (free) or a ground term (constants, possibly indexed or
@@ -35,6 +30,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,7 +40,6 @@
 #include "query/adornment.h"
 #include "query/magic.h"
 #include "sequence/sequence_pool.h"
-#include "sequence/symbol_table.h"
 #include "storage/database.h"
 
 namespace seqlog {
@@ -55,9 +50,11 @@ struct SolveOptions {
   eval::EvalOptions eval;
 };
 
-/// Counters for one Solve call. The speedup-relevant comparison against a
-/// full fixpoint is derived_facts (and eval.iterations) versus the same
-/// counters of Engine::Evaluate on the original program.
+/// Counters for one answered binding. The speedup-relevant comparison
+/// against a full fixpoint is derived_facts (and eval.iterations) versus
+/// the same counters of Engine::Evaluate on the original program. A run
+/// serves all bindings of one Execute call at once, so the run counters
+/// (derived_facts, magic_facts, eval) are the shared run's.
 struct SolveStats {
   Adornment goal_adornment;       ///< effective (after bindable demotion)
   size_t adorned_predicates = 0;  ///< reachable adorned IDB predicates
@@ -102,30 +99,25 @@ struct PreparedGoal {
   std::shared_ptr<const eval::Evaluator> evaluator;
   PredId seed_pred = 0;
   PredId answer_pred = 0;
+  /// The rewrite's magic predicates, for the magic_facts counter.
+  std::vector<PredId> magic_preds;
   size_t adorned_predicates = 0;
 };
 
-/// One entry of a batched execution: which prepared goal it instantiates
-/// (an index into the goal list passed to ExecuteBatch) and the `$N`
-/// parameter values for that instance.
-struct BatchItem {
-  size_t goal = 0;
-  std::vector<std::optional<SeqId>> params;
-};
+/// Values for a goal's `$N` parameters: `binding[k]` binds `$k+1`.
+using Binding = std::vector<std::optional<SeqId>>;
 
-/// Result of one ExecuteBatch call. `items[i]` answers `items[i]` of the
-/// request in order, each with the exact status/answers an individual
-/// Execute of that binding would produce — answer parity is the batch
-/// invariant (tests/batch_executor_test.cc). Per-item eval counters are
-/// those of the *shared* run that answered the item (rounds are
-/// amortised across the batch, so they are not per-item attributable);
-/// `eval` aggregates them across runs and `evaluations` counts the
-/// semi-naive runs actually performed (1 for a single-goal batch).
+/// Result of one Execute call: `items[i]` answers `bindings[i]`, each
+/// with the status and answers a call with that binding alone would
+/// produce — answer parity holds as stated in docs/SERVING.md.
 struct BatchSolveResult {
+  /// The run's status: OK when no run was needed; a budget error keeps
+  /// the partial answers in the items.
   Status status;
   std::vector<SolveResult> items;
+  /// Semi-naive runs performed: 1, or 0 when the goal is extensional or
+  /// no binding resolved.
   size_t evaluations = 0;
-  eval::EvalStats eval;
 };
 
 /// Stateless facade over adornment + magic rewrite + evaluation. Shares
@@ -135,7 +127,8 @@ class Solver {
  public:
   /// `registry` may be null for pure Sequence Datalog programs.
   Solver(Catalog* catalog, SequencePool* pool,
-         const eval::FunctionRegistry* registry);
+         const eval::FunctionRegistry* registry)
+      : catalog_(catalog), pool_(pool), registry_(registry) {}
 
   /// Analyses `goal` over `program` and compiles its demand rewrite.
   /// Errors: kInvalidArgument (malformed goal, arity/parameter misuse),
@@ -144,64 +137,24 @@ class Solver {
   Result<PreparedGoal> Prepare(const ast::Program& program,
                                const ast::Atom& goal) const;
 
-  /// Answers `prepared` over `edb` with `params[i]` bound to `$i+1`.
-  /// Performs zero parsing, zero rewriting, zero compilation — only seed
-  /// injection, fixpoint evaluation of the cached program, and answer
-  /// filtering. kFailedPrecondition if a parameter is unbound. Const and
-  /// thread-safe: concurrent Execute calls may share one PreparedGoal as
-  /// long as `edb` is not concurrently mutated (use a published
-  /// snapshot, core/snapshot.h).
+  /// Answers `prepared` over `edb` for every binding in ONE fixpoint
+  /// run: the seed facts of all bindings are injected together (equal
+  /// bindings collapse to one seed — relations are sets), the rounds are
+  /// paid once, and each binding's answers are the answer-predicate
+  /// tuples matching its bound values. Performs zero parsing, zero
+  /// rewriting, zero compilation. A binding with an unbound parameter
+  /// fails alone (kFailedPrecondition) without failing the others.
+  /// Extensional goals are answered by scanning `edb`. Const and
+  /// thread-safe: concurrent calls may share one PreparedGoal as long as
+  /// `edb` is not concurrently mutated (use a published snapshot,
+  /// core/snapshot.h).
   ///
   /// `base_domain` (optional) is the frozen domain of exactly `edb`'s
   /// sequences — Snapshot publishes the pair — so the run roots only
-  /// its seeds and what it derives, never `edb` (eval/engine.h).
-  SolveResult Execute(
+  /// what it derives, never `edb` (eval/engine.h).
+  BatchSolveResult Execute(
       const PreparedGoal& prepared, const Database& edb,
-      const std::vector<std::optional<SeqId>>& params,
-      const SolveOptions& options = {},
-      std::shared_ptr<const ExtendedDomain> base_domain = nullptr) const;
-
-  /// One-shot convenience: Prepare + Execute without parameters. Goals
-  /// on extensional predicates (no defining clause) are answered
-  /// directly from `edb`.
-  SolveResult Solve(const ast::Program& program, const ast::Atom& goal,
-                    const Database& edb, const SolveOptions& options = {});
-
-  // ------------------------------------------------------------------
-  // Batched execution — many bindings, one semi-naive run.
-  // ------------------------------------------------------------------
-
-  /// Compiles ONE evaluator that answers every goal of `goals` in a
-  /// single run: the union of the goals' magic rewrites, deduplicated
-  /// clause-by-clause (goals sharing adorned subgoals contribute each
-  /// shared clause once). `symbols` is only used to key the dedup.
-  /// Returns null when fewer than two goals carry a rewrite (a single
-  /// IDB goal's own cached evaluator already is the fused plan — use
-  /// it). kFailedPrecondition when the union closes a constructive
-  /// cycle that no individual rewrite has (Definition 10): such goal
-  /// sets must fall back to per-goal runs, which ExecuteBatch performs
-  /// when `fused` is null.
-  Result<std::shared_ptr<const eval::Evaluator>> FuseGoals(
-      const std::vector<const PreparedGoal*>& goals,
-      const SymbolTable& symbols) const;
-
-  /// Answers every item of `items` (each an instantiation of one goal
-  /// in `goals`) with the minimum number of fixpoint runs: all magic
-  /// seed facts of the items sharing a run are injected together, the
-  /// rounds and the domain growth are paid once for the whole batch,
-  /// and the answers are demultiplexed per item from its goal's answer
-  /// predicate by the item's bound values. With `fused` non-null (built
-  /// by FuseGoals over the same `goals` list) every IDB item shares ONE
-  /// run; with `fused` null items are grouped per goal — one run per
-  /// distinct goal. EDB goals are answered by direct scans, as in
-  /// Execute. Items with unbound parameters or out-of-range goal
-  /// indices fail individually (their SolveResult carries the error)
-  /// without failing the batch. Const and thread-safe under the same
-  /// contract as Execute.
-  BatchSolveResult ExecuteBatch(
-      const std::vector<const PreparedGoal*>& goals,
-      const eval::Evaluator* fused, const Database& edb,
-      const std::vector<BatchItem>& items, const SolveOptions& options = {},
+      std::span<const Binding> bindings, const SolveOptions& options = {},
       std::shared_ptr<const ExtendedDomain> base_domain = nullptr) const;
 
  private:

@@ -10,10 +10,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "base/string_util.h"
-#include "serve/batch_executor.h"
 
 namespace seqlog {
 namespace serve {
@@ -42,6 +42,27 @@ bool WriteAll(int fd, const std::string& data) {
     sent += static_cast<size_t>(n);
   }
   return true;
+}
+
+/// Interns one request's wire values as the `$1..$k` binding of the
+/// statement `name` — the one conversion EXEC and BATCH share. A wrong
+/// value count is malformed input: nullopt, with the SL-E100 reply in
+/// *error.
+std::optional<query::Binding> WireBinding(
+    Engine* engine, const std::string& name, size_t param_count,
+    const std::vector<std::string>& values, std::string* error) {
+  if (values.size() != param_count) {
+    *error = ErrorReply(kCodeBadRequest,
+                        StrCat("'", name, "' takes ", param_count,
+                               " parameter(s), got ", values.size()));
+    return std::nullopt;
+  }
+  query::Binding binding;
+  binding.reserve(values.size());
+  for (const std::string& value : values) {
+    binding.emplace_back(engine->pool()->FromChars(value, engine->symbols()));
+  }
+  return binding;
 }
 
 /// Writes a one-line error reply, best effort (used on refused
@@ -399,20 +420,17 @@ std::string Server::HandleExec(Session* session, const Request& request) {
                       StrCat("no prepared statement '", request.name,
                              "' (PREPARE it first)"));
   }
-  std::vector<std::optional<SeqId>> params;
+  query::Binding params;
   if (!request.values.empty()) {
-    if (request.values.size() != stmt->param_count()) {
+    std::string error;
+    std::optional<query::Binding> binding =
+        WireBinding(engine_, request.name, stmt->param_count(),
+                    request.values, &error);
+    if (!binding.has_value()) {
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return ErrorReply(
-          kCodeBadRequest,
-          StrCat("'", request.name, "' takes ", stmt->param_count(),
-                 " parameter(s), got ", request.values.size()));
+      return error;
     }
-    params.reserve(request.values.size());
-    for (const std::string& value : request.values) {
-      params.emplace_back(
-          engine_->pool()->FromChars(value, engine_->symbols()));
-    }
+    params = std::move(*binding);
   } else {
     auto it = session->binds.find(request.name);
     if (it != session->binds.end()) {
@@ -482,30 +500,23 @@ std::string Server::HandleBatch(Session* session, const Request& request,
                       StrCat("no prepared statement '", request.name,
                              "' (PREPARE it first)"));
   }
-  // One statement per wire batch: no cross-statement fusion compile on
-  // the request path (the C++ BatchExecutor API offers it).
-  BatchOptions batch_options;
-  batch_options.fuse = false;
-  BatchExecutor executor(engine_, {stmt.get()}, batch_options);
-  std::vector<BatchExecutor::Item> items;
-  items.reserve(lines.size());
-  // Per line: the built item, or the index into `errors` of its ERR.
+  std::vector<query::Binding> bindings;
+  bindings.reserve(lines.size());
+  // Per line: the index of its binding, or SIZE_MAX with its ERR reply.
   std::vector<std::string> errors(lines.size());
   std::vector<size_t> item_of(lines.size(), SIZE_MAX);
   for (size_t i = 0; i < lines.size(); ++i) {
-    Result<BatchExecutor::Item> item = executor.MakeItem(0, lines[i]);
-    if (!item.ok()) {
-      errors[i] = ErrorReply(item.status());
-      continue;
-    }
-    item_of[i] = items.size();
-    items.push_back(std::move(item).value());
+    std::optional<query::Binding> binding = WireBinding(
+        engine_, request.name, stmt->param_count(), lines[i], &errors[i]);
+    if (!binding.has_value()) continue;
+    item_of[i] = bindings.size();
+    bindings.push_back(std::move(*binding));
   }
   bool deadline_set = false;
   query::SolveOptions options = OptionsFor(*session, &deadline_set);
   Snapshot snapshot = CurrentSnapshot();
   auto t0 = std::chrono::steady_clock::now();
-  BatchResult result = executor.Execute(snapshot, items, options);
+  BatchResultSet result = stmt->ExecuteBatch(snapshot, bindings, options);
   double micros = MicrosSince(t0);
   stats_.batch_requests.fetch_add(1, std::memory_order_relaxed);
   stats_.batch_items.fetch_add(lines.size(), std::memory_order_relaxed);
@@ -539,7 +550,7 @@ std::string Server::HandleBatch(Session* session, const Request& request,
 
   std::string reply =
       StrCat("OK items=", lines.size(), " rows=", total_rows,
-             " runs=", result.stats.evaluations, " micros=",
+             " runs=", result.runs, " micros=",
              static_cast<uint64_t>(micros));
   for (size_t i = 0; i < lines.size(); ++i) {
     if (item_of[i] == SIZE_MAX) {

@@ -13,8 +13,9 @@
 //    request by request. Session count bounds engine concurrency; the
 //    queue bounds memory.
 //  * Every EXEC/BATCH pins the LATEST PUBLISHED Snapshot at request
-//    start and runs PreparedQuery::ExecuteWith / BatchExecutor::Execute
-//    against it — const, lock-free reads.
+//    start and runs PreparedQuery::ExecuteWith / ExecuteBatch against
+//    it — const, lock-free reads; both verbs turn wire values into a
+//    binding the same way.
 //  * WRITES never hold the engine mutex (the PR 7 write stall): FACT
 //    and INGEST intern on the session thread and stage on the engine's
 //    bounded ingest queue (Engine::EnqueueFact); an ivm::Republisher

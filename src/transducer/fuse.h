@@ -9,8 +9,8 @@
 // step reads one chain-input symbol, runs A's transition, and pushes
 // A's emission (0 or 1 symbols) through B.
 //
-// Soundness is guarded twice, mirroring the Solver::FuseGoals
-// refuse-and-fallback shape (query/solver.h): a structural pre-check
+// Soundness is guarded twice, in a refuse-and-fallback shape: a
+// structural pre-check
 // refuses machines the product cannot express (multi-input machines,
 // subtransducer calls — a callee would need the unmaterialised
 // intermediate tape), and a bounded exhaustive equivalence check replays

@@ -37,6 +37,15 @@ std::string Dna(uint64_t seed, size_t len) {
   return out;
 }
 
+/// A ground goal's rendered, sorted answers over the live EDB (Prepare
+/// + Execute): the single-threaded oracle.
+RowList Answers(Engine* engine, const std::string& goal) {
+  Result<PreparedQuery> prepared = engine->Prepare(goal);
+  EXPECT_TRUE(prepared.ok()) << goal << ": " << prepared.status().ToString();
+  if (!prepared.ok()) return {};
+  return prepared->Execute().Materialize();
+}
+
 TEST(Concurrency, SharedPreparedQueryAgainstOneSnapshotUnderWrites) {
   constexpr size_t kThreads = 8;
   constexpr size_t kExecutesPerThread = 25;
@@ -56,7 +65,7 @@ TEST(Concurrency, SharedPreparedQueryAgainstOneSnapshotUnderWrites) {
   // Freeze the oracle BEFORE the writer starts: the snapshot pins these
   // answers no matter what the writer does afterwards.
   Snapshot snapshot = engine.PublishSnapshot();
-  const RowList expected = engine.Solve("?- suffix(" + probe + ").").answers;
+  const RowList expected = Answers(&engine, "?- suffix(" + probe + ").");
   ASSERT_FALSE(expected.empty());
 
   std::atomic<size_t> mismatches{0};
@@ -243,7 +252,7 @@ TEST(Concurrency, FirstEnumerationOfASharedBaseDomain) {
   Snapshot snapshot = engine.PublishSnapshot();
   // The oracle runs on the live database: the snapshot's base stays
   // unlisted until the readers start.
-  const RowList expected = engine.Solve("?- p(X).").answers;
+  const RowList expected = Answers(&engine, "?- p(X).");
   ASSERT_EQ(expected.size(), 16u);
 
   std::atomic<size_t> not_started{kThreads};

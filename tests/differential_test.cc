@@ -5,8 +5,10 @@
 // with src/) computes the expected model, and every generated program is
 // checked bit-identical against it, plus the naive and stratified
 // strategy oracles. Every unary derived predicate is also queried
-// through a prepared goal on a published snapshot, whose runs layer
-// their domain on the snapshot's.
+// through prepared goals on a published snapshot, whose runs layer
+// their domain on the snapshot's: all free, and bound to each of its
+// answers and to random sequences mostly outside the domain, one
+// binding at a time and all bindings as one batch.
 //
 // Flags (also usable for CI soak runs, .github/workflows/soak.yml):
 //   --seed=N    base seed of the corpus (default: fixed corpus)
@@ -185,6 +187,22 @@ GenProgram Generate(uint64_t seed) {
         p, {0}, shape,
         shape == Shape::kDomain ? std::vector<Lit>{}
                                 : std::vector<Lit>{Lit{0, {0}}}});
+  }
+  // Rules that read a domain-reading predicate d through a body literal,
+  // q(X) :- d(X), draw from a third stream. A bound goal on q keeps its
+  // binding while d is demoted to free, so the demand run enumerates its
+  // domain with the goal's value in hand.
+  std::mt19937_64 reader_rng(seed ^ 0xc1c1c1c1c1c1c1c1u);
+  const int n_preds = static_cast<int>(prog.preds.size());
+  for (int d = 0; d < n_preds; ++d) {
+    const bool reads_domain = std::any_of(
+        prog.rules.begin(), prog.rules.end(), [d](const Rule& rule) {
+          return rule.head_pred == d && rule.shape != Shape::kPlain &&
+                 rule.shape != Shape::kConcat;
+        });
+    if (!reads_domain || (reader_rng() & 1) == 0) continue;
+    const int q = new_pred(1);
+    prog.rules.push_back(Rule{q, {0}, Shape::kPlain, {Lit{d, {0}}}});
   }
   return prog;
 }
@@ -453,12 +471,69 @@ GenProgram GoalSlice(const GenProgram& prog, int goal) {
   return slice;
 }
 
-/// Answers `?- p(X).` for every unary derived predicate through a
-/// prepared goal on a published snapshot — a run layered on the
-/// snapshot's domain — and checks them against the reference. Demand
-/// evaluation runs only the rules the goal reaches, so sequences that an
-/// unrelated constructive rule adds to the whole program's domain are
-/// not in the goal's: the reference is the model of the goal's slice.
+/// A random {a,b} sequence of length 1-6; the generated facts have
+/// length at most 4, so most of these lie outside the domain.
+std::string RandomBinding(std::mt19937_64* rng) {
+  std::uniform_int_distribution<int> len_dist(1, 6);
+  std::string s(len_dist(*rng), 'a');
+  for (char& c : s) c = ((*rng)() & 1) ? 'b' : 'a';
+  return s;
+}
+
+/// `?- p($1).` bound to each answer of `reference` (p's rows in the
+/// slice model) and to 4 random sequences: every solo ExecuteWith must
+/// answer the reference filtered to its value, and the same bindings as
+/// one ExecuteBatch must answer the same item by item.
+bool CheckBoundGoal(Engine* engine, const Snapshot& snapshot,
+                    const std::string& name,
+                    const std::vector<RenderedRow>& reference,
+                    std::mt19937_64* rng, const GenProgram& prog,
+                    uint64_t seed) {
+  const std::string goal = "?- " + name + "($1).";
+  Result<PreparedQuery> prepared = engine->Prepare(goal);
+  EXPECT_TRUE(prepared.ok()) << goal << " " << prepared.status().ToString();
+  if (!prepared.ok()) return false;
+  std::vector<std::string> values;
+  for (const RenderedRow& row : reference) values.push_back(row[0]);
+  for (int i = 0; i < 4; ++i) values.push_back(RandomBinding(rng));
+  std::vector<query::Binding> bindings;
+  for (const std::string& value : values) {
+    bindings.push_back({engine->pool()->FromChars(value, engine->symbols())});
+  }
+  const BatchResultSet batch = prepared->ExecuteBatch(snapshot, bindings);
+  EXPECT_TRUE(batch.status.ok()) << goal << " " << batch.status.ToString();
+  if (!batch.status.ok()) return false;
+  for (size_t i = 0; i < values.size(); ++i) {
+    std::vector<RenderedRow> expected;
+    if (std::binary_search(reference.begin(), reference.end(),
+                           RenderedRow{values[i]})) {
+      expected.push_back({values[i]});
+    }
+    const ResultSet solo = prepared->ExecuteWith(snapshot, bindings[i]);
+    const char* path = nullptr;
+    if (!solo.ok() || solo.Materialize() != expected) {
+      path = "solo";
+    } else if (!batch.results[i].ok() ||
+               batch.results[i].Materialize() != expected) {
+      path = "batched";
+    }
+    if (path != nullptr) {
+      ADD_FAILURE() << path << " " << goal << " bound to '" << values[i]
+                    << "' differs from the reference seed=" << seed
+                    << "\n" << RenderProgram(prog);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Answers `?- p(X).` and the bound `?- p($1).` (CheckBoundGoal) for
+/// every unary derived predicate through prepared goals on a published
+/// snapshot — runs layered on the snapshot's domain — and checks them
+/// against the reference. Demand evaluation runs only the rules the goal
+/// reaches, so sequences that an unrelated constructive rule adds to the
+/// whole program's domain are not in the goal's: the reference is the
+/// model of the goal's slice.
 bool CheckPreparedGoals(const GenProgram& prog, uint64_t seed) {
   Engine engine;
   Status s = engine.LoadProgram(RenderProgram(prog));
@@ -471,6 +546,7 @@ bool CheckPreparedGoals(const GenProgram& prog, uint64_t seed) {
     EXPECT_TRUE(engine.AddFact("e2", {a, b}).ok());
   }
   const Snapshot snapshot = engine.PublishSnapshot();
+  std::mt19937_64 binding_rng(seed ^ 0xb1b1b1b1b1b1b1b1u);
   bool ok = true;
   for (size_t p = 2; p < prog.preds.size(); ++p) {
     if (prog.preds[p].arity != 1) continue;
@@ -482,10 +558,16 @@ bool CheckPreparedGoals(const GenProgram& prog, uint64_t seed) {
     EXPECT_TRUE(answers.ok()) << goal << " " << answers.status().ToString();
     if (!answers.ok()) return false;
     const GenProgram slice = GoalSlice(prog, static_cast<int>(p));
-    if (answers.Materialize() != RefRows(slice, RefEvaluate(slice))[p]) {
+    const std::vector<RenderedRow> reference =
+        RefRows(slice, RefEvaluate(slice))[p];
+    if (answers.Materialize() != reference) {
       ADD_FAILURE() << "prepared " << goal << " on a snapshot differs from "
                     << "the reference seed=" << seed << "\n"
                     << RenderProgram(prog);
+      ok = false;
+    }
+    if (!CheckBoundGoal(&engine, snapshot, prog.preds[p].name, reference,
+                        &binding_rng, prog, seed)) {
       ok = false;
     }
   }

@@ -20,7 +20,7 @@ TEST(EngineFailure, QueryBeforeEvaluate) {
   Status s = engine.Query("p").status();
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
   // The one-line hint must name both recovery paths.
-  EXPECT_EQ(s.message(), "no model computed; call Evaluate or use Solve");
+  EXPECT_EQ(s.message(), "no model computed; call Evaluate or use Prepare");
 }
 
 TEST(EngineFailure, QueryIdsBeforeEvaluate) {
@@ -29,7 +29,7 @@ TEST(EngineFailure, QueryIdsBeforeEvaluate) {
   ASSERT_TRUE(engine.AddFact("r", {"a"}).ok());  // facts alone: no model
   Status s = engine.QueryIds("p").status();
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(s.message(), "no model computed; call Evaluate or use Solve");
+  EXPECT_EQ(s.message(), "no model computed; call Evaluate or use Prepare");
 }
 
 TEST(EngineFailure, QueryAfterLoadProgramInvalidatesModel) {

@@ -2,9 +2,10 @@
 // cursor API (core/prepared_query.h, core/snapshot.h, core/result_set.h).
 //
 // The load-bearing properties:
-//  * PreparedQuery::Execute answers exactly what Engine::Solve answers
-//    for the same goal instance — while performing ZERO parsing and ZERO
-//    magic rewriting per call (the stats() counters prove it);
+//  * PreparedQuery::Execute answers exactly what a freshly prepared
+//    ground goal answers for the same goal instance — while performing
+//    ZERO parsing and ZERO magic rewriting per call (the stats()
+//    counters prove it);
 //  * snapshots freeze the EDB at publish time: later AddFacts are
 //    invisible to old snapshots and visible to new ones.
 #include <gtest/gtest.h>
@@ -21,12 +22,14 @@ namespace {
 
 using RowList = std::vector<RenderedRow>;
 
-/// Solve's rendered+sorted answers for `goal` (the legacy oracle).
+/// The rendered, sorted answers of a ground `goal` (the oracle).
 RowList SolveAnswers(Engine* engine, const std::string& goal) {
-  SolveOutcome solved = engine->Solve(goal);
-  EXPECT_TRUE(solved.status.ok()) << goal << ": "
-                                  << solved.status.ToString();
-  return solved.answers;
+  Result<PreparedQuery> prepared = engine->Prepare(goal);
+  EXPECT_TRUE(prepared.ok()) << goal << ": " << prepared.status().ToString();
+  if (!prepared.ok()) return {};
+  ResultSet rs = prepared->Execute();
+  EXPECT_TRUE(rs.ok()) << goal << ": " << rs.status().ToString();
+  return rs.Materialize();
 }
 
 TEST(PreparedQuery, MatchesSolveAcrossRebinds) {
@@ -115,12 +118,14 @@ TEST(PreparedQuery, NonConsecutiveParametersRejected) {
 }
 
 TEST(PreparedQuery, SolveOnParameterizedGoalReportsUnbound) {
-  // The one-shot Solve path cannot bind parameters: executing the goal
-  // surfaces the unbound-parameter precondition instead of garbage.
+  // A one-shot goal cannot bind parameters: executing the goal surfaces
+  // the unbound-parameter precondition instead of garbage.
   Engine engine;
   ASSERT_TRUE(engine.LoadProgram(programs::kSuffixes).ok());
-  SolveOutcome solved = engine.Solve("?- suffix($1).");
-  EXPECT_EQ(solved.status.code(), StatusCode::kFailedPrecondition);
+  Result<PreparedQuery> prepared = engine.Prepare("?- suffix($1).");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_EQ(prepared->Execute().status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(PreparedQuery, EdbGoalNeedsNoRewrite) {
@@ -347,7 +352,7 @@ TEST(ResultSetTest, DefaultConstructedIsEmptyAndOk) {
 
 TEST(PreparedQuery, NullaryGoalKeepsItsEmptyRow) {
   // A nullary goal that holds has exactly one answer: the empty tuple.
-  // The cursor must report it (size 1, arity 0), matching Solve.
+  // The cursor must report it (size 1, arity 0), matching Materialize.
   Engine engine;
   ASSERT_TRUE(engine.LoadProgram("win :- r(X).").ok());
   Result<PreparedQuery> prepared = engine.Prepare("?- win.");
@@ -365,7 +370,7 @@ TEST(PreparedQuery, NullaryGoalKeepsItsEmptyRow) {
   EXPECT_EQ(hit.size(), 1u);
   EXPECT_EQ(hit.arity(), 0u);
   EXPECT_EQ(hit[0].size(), 0u);
-  EXPECT_EQ(hit.Materialize(), engine.Solve("?- win.").answers);
+  EXPECT_EQ(hit.Materialize(), SolveAnswers(&engine, "?- win."));
 }
 
 TEST(Snapshot, IncrementalPublishesMatchFreshEngine) {
@@ -394,7 +399,7 @@ TEST(Snapshot, IncrementalPublishesMatchFreshEngine) {
     ResultSet rs = prepared->Execute(snap);
     ASSERT_TRUE(rs.ok());
     EXPECT_EQ(rs.Materialize(),
-              fresh.Solve(std::string("?- suffix(") + probe + ").").answers)
+              SolveAnswers(&fresh, std::string("?- suffix(") + probe + ")."))
         << probe;
   }
 }
@@ -421,7 +426,7 @@ TEST(Snapshot, ClearFactsResetsThePublishCache) {
     EXPECT_EQ(row[0].find('a'), std::string::npos) << row[0];
     EXPECT_EQ(row[0].find('b'), std::string::npos) << row[0];
   }
-  EXPECT_EQ(rows, engine.Solve("?- rep1(X, X).").answers);
+  EXPECT_EQ(rows, SolveAnswers(&engine, "?- rep1(X, X)."));
 }
 
 TEST(Snapshot, DomainBudgetAppliesToSnapshotExecutionsToo) {

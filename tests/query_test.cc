@@ -1,9 +1,10 @@
 // Goal-directed query subsystem: adornments, magic rewrite, Solver.
 //
 // The load-bearing property: on every paper-example program with a
-// ground(able) goal, Solve returns exactly the full fixpoint (computed
-// with the naive oracle strategy) restricted to the goal — while deriving
-// fewer facts whenever the goal is selective.
+// ground(able) goal, a prepared goal (Prepare + Execute) returns exactly
+// the full fixpoint (computed with the naive oracle strategy) restricted
+// to the goal — while deriving fewer facts whenever the goal is
+// selective.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -22,6 +23,22 @@ namespace {
 
 using RowList = std::vector<RenderedRow>;
 using Pattern = std::vector<std::optional<std::string>>;
+
+/// A goal's answers (rendered, sorted), status and counters: Prepare +
+/// Execute over the live EDB.
+struct Solved {
+  Status status;
+  std::vector<RenderedRow> answers;
+  query::SolveStats stats;
+};
+
+Solved SolveGoal(Engine* engine, const std::string& goal,
+                 const query::SolveOptions& options = {}) {
+  Result<PreparedQuery> prepared = engine->Prepare(goal);
+  if (!prepared.ok()) return Solved{prepared.status(), {}, {}};
+  ResultSet rs = prepared->Execute(options);
+  return Solved{rs.status(), rs.Materialize(), rs.stats()};
+}
 
 /// Naive full fixpoint of `engine`, restricted to `pred` rows matching
 /// `pattern` (nullopt = any value).
@@ -45,11 +62,11 @@ RowList FullRestricted(Engine* engine, const std::string& pred,
   return out;
 }
 
-/// The property: Solve(goal) == naive full fixpoint restricted to goal.
+/// The property: answers(goal) == naive full fixpoint restricted to goal.
 void ExpectMagicMatchesNaive(Engine* engine, const std::string& goal,
                              const std::string& pred,
                              const Pattern& pattern) {
-  SolveOutcome solved = engine->Solve(goal);
+  Solved solved = SolveGoal(engine, goal);
   ASSERT_TRUE(solved.status.ok())
       << goal << ": " << solved.status.ToString();
   EXPECT_EQ(solved.answers, FullRestricted(engine, pred, pattern))
@@ -123,7 +140,7 @@ TEST(Solve, BoundSuffixGoalDerivesFewerFacts) {
   ASSERT_TRUE(engine.AddFact("r", {"ttttgggg"}).ok());
   ASSERT_TRUE(engine.AddFact("r", {"cgcgcgcg"}).ok());
 
-  SolveOutcome solved = engine.Solve("?- suffix(acgt).");
+  Solved solved = SolveGoal(&engine, "?- suffix(acgt).");
   ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
   EXPECT_EQ(solved.answers, (RowList{{"acgt"}}));
   EXPECT_EQ(solved.stats.goal_adornment, "b");
@@ -142,7 +159,7 @@ TEST(Solve, MissGoalReturnsNoAnswers) {
   Engine engine;
   ASSERT_TRUE(engine.LoadProgram(programs::kSuffixes).ok());
   ASSERT_TRUE(engine.AddFact("r", {"acgt"}).ok());
-  SolveOutcome solved = engine.Solve("?- suffix(ttt).");
+  Solved solved = SolveGoal(&engine, "?- suffix(ttt).");
   ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
   EXPECT_TRUE(solved.answers.empty());
 }
@@ -152,7 +169,7 @@ TEST(Solve, AllFreeGoalDegeneratesToFullEvaluation) {
   ASSERT_TRUE(engine.LoadProgram(programs::kSuffixes).ok());
   ASSERT_TRUE(engine.AddFact("r", {"ab"}).ok());
   ASSERT_TRUE(engine.AddFact("r", {"cd"}).ok());
-  SolveOutcome solved = engine.Solve("?- suffix(X).");
+  Solved solved = SolveGoal(&engine, "?- suffix(X).");
   ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
   EXPECT_EQ(solved.stats.goal_adornment, "f");
   // Same answers as Evaluate + Query.
@@ -168,15 +185,15 @@ TEST(Solve, GoalOnEdbPredicate) {
   ASSERT_TRUE(engine.AddFact("r", {"acgt"}).ok());
   ASSERT_TRUE(engine.AddFact("r", {"tt"}).ok());
 
-  SolveOutcome all = engine.Solve("?- r(X).");
+  Solved all = SolveGoal(&engine, "?- r(X).");
   ASSERT_TRUE(all.status.ok()) << all.status.ToString();
   EXPECT_EQ(all.answers, (RowList{{"acgt"}, {"tt"}}));
 
-  SolveOutcome hit = engine.Solve("?- r(tt).");
+  Solved hit = SolveGoal(&engine, "?- r(tt).");
   ASSERT_TRUE(hit.status.ok());
   EXPECT_EQ(hit.answers, (RowList{{"tt"}}));
 
-  SolveOutcome miss = engine.Solve("?- r(gg).");
+  Solved miss = SolveGoal(&engine, "?- r(gg).");
   ASSERT_TRUE(miss.status.ok());
   EXPECT_TRUE(miss.answers.empty());
 }
@@ -184,7 +201,7 @@ TEST(Solve, GoalOnEdbPredicate) {
 TEST(Solve, UnknownPredicateIsNotFound) {
   Engine engine;
   ASSERT_TRUE(engine.LoadProgram(programs::kSuffixes).ok());
-  SolveOutcome solved = engine.Solve("?- nosuch(acgt).");
+  Solved solved = SolveGoal(&engine, "?- nosuch(acgt).");
   EXPECT_EQ(solved.status.code(), StatusCode::kNotFound)
       << solved.status.ToString();
 }
@@ -192,7 +209,7 @@ TEST(Solve, UnknownPredicateIsNotFound) {
 TEST(Solve, ArityMismatchIsInvalid) {
   Engine engine;
   ASSERT_TRUE(engine.LoadProgram(programs::kSuffixes).ok());
-  SolveOutcome solved = engine.Solve("?- suffix(a, b).");
+  Solved solved = SolveGoal(&engine, "?- suffix(a, b).");
   EXPECT_EQ(solved.status.code(), StatusCode::kInvalidArgument)
       << solved.status.ToString();
 }
@@ -200,7 +217,7 @@ TEST(Solve, ArityMismatchIsInvalid) {
 TEST(Solve, NonGroundCompositeArgumentIsInvalid) {
   Engine engine;
   ASSERT_TRUE(engine.LoadProgram(programs::kSuffixes).ok());
-  SolveOutcome solved = engine.Solve("?- suffix(X[1:2]).");
+  Solved solved = SolveGoal(&engine, "?- suffix(X[1:2]).");
   EXPECT_EQ(solved.status.code(), StatusCode::kInvalidArgument)
       << solved.status.ToString();
 }
@@ -212,7 +229,7 @@ TEST(Solve, GroundCompositeArgumentsAreEvaluated) {
   // acgtacgt[5:end] = acgt, ac ++ gt = acgt.
   for (const char* goal :
        {"?- suffix(acgtacgt[5:end]).", "?- suffix(ac ++ gt)."}) {
-    SolveOutcome solved = engine.Solve(goal);
+    Solved solved = SolveGoal(&engine, goal);
     ASSERT_TRUE(solved.status.ok()) << goal << ": "
                                     << solved.status.ToString();
     EXPECT_EQ(solved.answers, (RowList{{"acgt"}})) << goal;
@@ -224,7 +241,7 @@ TEST(Solve, RepeatedGoalVariablesJoin) {
   ASSERT_TRUE(engine.LoadProgram("pair(X, Y) :- r(X), r(Y).").ok());
   ASSERT_TRUE(engine.AddFact("r", {"a"}).ok());
   ASSERT_TRUE(engine.AddFact("r", {"b"}).ok());
-  SolveOutcome solved = engine.Solve("?- pair(X, X).");
+  Solved solved = SolveGoal(&engine, "?- pair(X, X).");
   ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
   EXPECT_EQ(solved.answers, (RowList{{"a", "a"}, {"b", "b"}}));
 }
@@ -237,7 +254,7 @@ TEST(Solve, PredicateWithBothFactsAndClausesImportsItsFacts) {
   ASSERT_TRUE(engine.AddFact("reach", {"a", "b"}).ok());
   ASSERT_TRUE(engine.AddFact("reach", {"b", "c"}).ok());
   ASSERT_TRUE(engine.AddFact("reach", {"c", "d"}).ok());
-  SolveOutcome solved = engine.Solve("?- reach(a, X).");
+  Solved solved = SolveGoal(&engine, "?- reach(a, X).");
   ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
   EXPECT_EQ(solved.answers, (RowList{{"a", "b"}, {"a", "c"}, {"a", "d"}}));
 }
@@ -253,9 +270,39 @@ TEST(Solve, UnsafeAfterRewriteIsRejected) {
                                  "h(X) :- s(X), p(X).\n")
                   .ok());
   ASSERT_TRUE(engine.AnalyzeSafety().strongly_safe);
-  SolveOutcome solved = engine.Solve("?- h(aa).");
+  Solved solved = SolveGoal(&engine, "?- h(aa).");
   EXPECT_EQ(solved.status.code(), StatusCode::kFailedPrecondition)
       << solved.status.ToString();
+}
+
+TEST(Solve, GoalConstantsStayOutOfTheDomain) {
+  // q's head variable is bound only by the domain, so the bound goal on p
+  // demotes q to free and the demand run enumerates its domain. The goal
+  // constant zz is not data: it must not enter that domain, or p(zz)
+  // would answer a fact the fixpoint does not hold.
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .LoadProgram("p(X) :- q(X).\n"
+                               "q(X) :- true.\n"
+                               "r(X) :- s(X).\n")
+                  .ok());
+  ASSERT_TRUE(engine.AddFact("s", {"ab"}).ok());
+
+  Solved live = SolveGoal(&engine, "?- p(zz).");
+  ASSERT_TRUE(live.status.ok()) << live.status.ToString();
+  EXPECT_TRUE(live.answers.empty());
+  Result<PreparedQuery> prepared = engine.Prepare("?- p($1).");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(prepared->Bind(1, "zz").ok());
+  ResultSet snapshot = prepared->Execute(engine.PublishSnapshot());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_TRUE(snapshot.empty());
+  // A domain value is still an answer.
+  EXPECT_EQ(SolveGoal(&engine, "?- p(ab).").answers, (RowList{{"ab"}}));
+
+  ASSERT_TRUE(engine.Evaluate().status.ok());
+  EXPECT_EQ(engine.Query("p").value(),
+            (RowList{{""}, {"a"}, {"ab"}, {"b"}}));
 }
 
 TEST(Solve, DivergentProgramStillBudgeted) {
@@ -267,7 +314,7 @@ TEST(Solve, DivergentProgramStillBudgeted) {
   query::SolveOptions options;
   options.eval.limits.max_domain_sequences = 5000;
   options.eval.limits.max_iterations = 1000;
-  SolveOutcome solved = engine.Solve("?- rep2(abab, ab).", options);
+  Solved solved = SolveGoal(&engine, "?- rep2(abab, ab).", options);
   EXPECT_EQ(solved.status.code(), StatusCode::kResourceExhausted)
       << solved.status.ToString();
 }

@@ -211,8 +211,10 @@ TEST_F(ServeTest, BatchVerbAnswersPerItem) {
   EXPECT_EQ(reply->body[2], "ITEM 1 rows=0");
   EXPECT_EQ(reply->body[3], "ITEM 2 rows=1");
   EXPECT_EQ(reply->body[4], "ROW gggg");
-  // Wrong arity: a per-item error, not a batch failure.
-  EXPECT_EQ(reply->body[5].rfind("ITEM 3 ERR ", 0), 0u) << reply->body[5];
+  // Wrong arity: a per-item error, not a batch failure, with the code
+  // EXEC sends for the same values.
+  EXPECT_EQ(reply->body[5].rfind("ITEM 3 ERR SL-E100 ", 0), 0u)
+      << reply->body[5];
 }
 
 TEST_F(ServeTest, ErrorsCarryStableCodes) {
