@@ -1,9 +1,9 @@
 // IVM: the live-ingest tier's performance claim (docs/STREAMING.md).
 //
 // A saturated model maintained by ivm::IncrementalModel::Apply re-runs
-// the semi-naive rounds from the staged batch as a round-0 delta, so
-// the cost of absorbing B new facts scales with the consequences of
-// those B facts — not with the database. The cold alternative
+// the semi-naive rounds from the EDB rows it has not absorbed as a
+// round-0 delta, so the cost of absorbing B new facts scales with the
+// consequences of those B facts — not with the database. The cold alternative
 // (Engine::Evaluate over the union) re-derives everything. On the
 // genome pipeline at db 400 the acceptance bar is: incremental drain of
 // a batch of 1 >= 10x faster than a cold re-evaluation; the
@@ -109,7 +109,7 @@ void PrintTable() {
       if (!cold.Evaluate().status.ok()) std::abort();
       cold_ms = std::min(cold_ms, MillisSince(t0));
 
-      // Incremental: saturate the base, stage the batch, drain.
+      // Incremental: saturate the base, add the batch, drain.
       Engine inc;
       SetupGenome(&inc, {});
       if (!inc.Evaluate().status.ok()) std::abort();

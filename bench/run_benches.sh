@@ -90,7 +90,7 @@ if [ -x "$SERVE_BIN" ] && [ -x "$LOADGEN_BIN" ]; then
       --batch-size=32 --connections=2 --requests=20 --json \
       > "$TMP_DIR/loadgen_${workload}_batch.json"
     # Mixed read/write: a quarter of the requests are FACT writes staged
-    # on the live-ingest queue; each writer ends with a PUBLISH drain.
+    # on the live-ingest queue; each writer ends with a PUBLISH.
     "$LOADGEN_BIN" --port="$PORT" --workload="$workload" --mode=exec \
       --connections=4 --requests=100 --write-mix=0.25 --json \
       > "$TMP_DIR/loadgen_${workload}_mixed.json"

@@ -333,13 +333,14 @@ class Shell {
     evaluated_ = true;
   }
 
-  /// Applies facts added since the last :run incrementally — the engine
-  /// staged them on its ingest queue; DrainIngest re-saturates the model
-  /// from them as a delta (docs/STREAMING.md) instead of recomputing.
+  /// Applies facts added since the last :run incrementally — they sit
+  /// in the EDB past the model's row watermark, and DrainIngest
+  /// re-saturates the model from them as a delta (docs/STREAMING.md)
+  /// instead of recomputing.
   void Drain() {
     // Facts added since :run flipped evaluated_, but the engine still
-    // holds the model with those facts staged — exactly what a drain
-    // re-saturates. Only new rules (engine_stale_) force a full :run.
+    // holds the model of the facts before them — exactly what a drain
+    // catches up. Only new rules (engine_stale_) force a full :run.
     if (engine_stale_ || !engine_->live_model().built()) {
       std::cout << "? run :run first\n";
       return;

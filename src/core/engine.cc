@@ -67,18 +67,7 @@ Status Engine::AddFactIds(std::string_view predicate,
   SEQLOG_ASSIGN_OR_RETURN(PredId pred,
                           catalog_.GetOrCreate(predicate, args.size()));
   SEQLOG_ASSIGN_OR_RETURN(bool inserted, edb_->TryInsert(pred, args));
-  if (inserted) {
-    ++edb_version_;
-    // Post-fixpoint insert: stage it as a pending delta instead of
-    // invalidating the model — DrainIngest re-saturates. If the queue
-    // is full the model is stale beyond what the queue records; the
-    // next drain recomputes cold.
-    if (live_model_.built() && !ivm_cold_pending_) {
-      if (!ingest_.TryPush(ivm::PendingFact{pred, std::move(args)}).ok()) {
-        ivm_cold_pending_ = true;
-      }
-    }
-  }
+  if (inserted) ++edb_version_;
   return Status::Ok();
 }
 
@@ -103,48 +92,36 @@ Status Engine::EnqueueFactIds(std::string_view predicate,
   return ingest_.TryPush(ivm::PendingFact{pred, std::move(args)});
 }
 
-eval::EvalOutcome Engine::DrainIngest(const eval::EvalOptions& options) {
-  // The drain proper; transducer counters are collected once, on the
-  // way out, whichever path produced the outcome.
-  auto drain = [&]() -> eval::EvalOutcome {
-  eval::EvalOutcome outcome;
+size_t Engine::FlushIngest() {
   std::vector<ivm::PendingFact> pending;
   ingest_.DrainTo(&pending);
-  // EDB first, so snapshots and a potential cold rebuild both see every
-  // staged fact. TryInsert is idempotent: AddFact-originated entries are
-  // already present, EnqueueFact-originated ones land here.
-  Database batch(&catalog_);
   for (const ivm::PendingFact& fact : pending) {
-    Result<bool> inserted = edb_->TryInsert(fact.pred, fact.args);
-    if (!inserted.ok()) {
-      outcome.status = inserted.status();
-      return outcome;
-    }
-    if (inserted.value()) ++edb_version_;
-    batch.Insert(fact.pred, fact.args);
+    // Insert CHECKs the predicate and arity EnqueueFactIds admitted.
+    if (edb_->Insert(fact.pred, fact.args)) ++edb_version_;
   }
-  outcome.stats.ingested_facts = pending.size();
-  if (!program_loaded_) return outcome;
+  return pending.size();
+}
+
+eval::EvalOutcome Engine::DrainIngest(const eval::EvalOptions& options) {
+  const size_t flushed = FlushIngest();
+  eval::EvalOutcome outcome;
   if (ivm_cold_pending_) {
-    live_model_.Invalidate();
     outcome = live_model_.Build(*edb_, options);
     outcome.stats.cold_fallback = true;
-    outcome.stats.ingested_facts = pending.size();
+    outcome.stats.ingested_facts = flushed;
     ivm_cold_pending_ = !outcome.status.ok();
-    return outcome;
+  } else if (live_model_.built()) {
+    // Catch up from every EDB row the model has not absorbed: the facts
+    // just flushed and those AddFact wrote since the last run.
+    outcome = live_model_.Apply(*edb_, options);
+    ivm_cold_pending_ = !outcome.status.ok();
+  } else {
+    // No model to maintain (Evaluate never ran): the facts are in the
+    // EDB and snapshots pick them up.
+    outcome.stats.ingested_facts = flushed;
   }
-  if (!live_model_.built() || pending.empty()) {
-    // No model to maintain (Evaluate never ran) or nothing new: the
-    // facts are in the EDB and snapshots pick them up.
-    return outcome;
-  }
-  outcome = live_model_.Apply(batch, options);
-  if (!outcome.status.ok()) ivm_cold_pending_ = true;
+  registry_.CollectTransducerStats(&outcome.stats.transducer);
   return outcome;
-  };
-  eval::EvalOutcome drained = drain();
-  registry_.CollectTransducerStats(&drained.stats.transducer);
-  return drained;
 }
 
 void Engine::ClearFacts() {
@@ -176,6 +153,7 @@ Result<PreparedQuery> Engine::Prepare(std::string_view goal) {
 }
 
 Snapshot Engine::PublishSnapshot() {
+  FlushIngest();
   if (published_ == nullptr || published_version_ != edb_version_) {
     // Root the snapshot's sequences in a frozen domain once, here on the
     // write path, so no Execute against it roots the database again.
@@ -189,22 +167,15 @@ Snapshot Engine::PublishSnapshot() {
             ? std::shared_ptr<ExtendedDomain>(published_domain_->CloneFlat())
             : std::make_shared<ExtendedDomain>(&pool_);
     // Facts are append-only (ClearFacts resets the cache), so only rows
-    // past the previous publish's per-relation watermark need rooting.
-    for (PredId pred : published_->PredicatesWithRelations()) {
-      const Relation* rel = published_->Get(pred);
-      if (pred >= published_row_watermark_.size()) {
-        published_row_watermark_.resize(pred + 1, 0);
-      }
-      for (uint32_t i = published_row_watermark_[pred]; i < rel->size();
-           ++i) {
-        for (SeqId arg : rel->RowAt(i)) {
-          // Unbudgeted: the EDB was already admitted by AddFact.
-          Status s = domain->AddRoot(arg);
-          SEQLOG_CHECK(s.ok()) << s.ToString();
-        }
-      }
-      published_row_watermark_[pred] = static_cast<uint32_t>(rel->size());
-    }
+    // past the previous publish's watermark need rooting.
+    published_->ForEachRowPast(
+        &published_row_watermark_, [&](PredId, TupleView row) {
+          for (SeqId arg : row) {
+            // Unbudgeted: the EDB was already admitted by AddFact.
+            Status s = domain->AddRoot(arg);
+            SEQLOG_CHECK(s.ok()) << s.ToString();
+          }
+        });
     published_domain_ = std::move(domain);
     published_version_ = edb_version_;
   }
@@ -222,18 +193,8 @@ eval::EvalOutcome Engine::Evaluate(const eval::EvalOptions& options) {
     return outcome;
   }
   // Writers may have staged facts that never reached the EDB
-  // (EnqueueFact): flush them so the cold run covers everything, then
-  // the queue is empty and the fresh model owes it nothing.
-  std::vector<ivm::PendingFact> pending;
-  ingest_.DrainTo(&pending);
-  for (const ivm::PendingFact& fact : pending) {
-    Result<bool> inserted = edb_->TryInsert(fact.pred, fact.args);
-    if (!inserted.ok()) {
-      outcome.status = inserted.status();
-      return outcome;
-    }
-    if (inserted.value()) ++edb_version_;
-  }
+  // (EnqueueFact): move them so the cold run covers everything.
+  FlushIngest();
   ivm_cold_pending_ = false;
   outcome = live_model_.Build(*edb_, options);
   registry_.CollectTransducerStats(&outcome.stats.transducer);

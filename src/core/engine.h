@@ -87,10 +87,10 @@ class Engine {
   }
 
   /// Adds a database fact; each argument string is interned one symbol
-  /// per character (use AddFactIds for multi-character symbols). After a
-  /// fixpoint exists (Evaluate ran), the fact is additionally staged on
-  /// the ingest queue as a pending delta: the model is NOT invalidated —
-  /// DrainIngest re-saturates it incrementally.
+  /// per character (use AddFactIds for multi-character symbols). Writes
+  /// the EDB and nothing else: a model computed earlier stays as it was
+  /// until DrainIngest catches it up from the EDB rows it has not
+  /// absorbed.
   Status AddFact(std::string_view predicate,
                  const std::vector<std::string>& args);
   Status AddFactIds(std::string_view predicate, std::vector<SeqId> args);
@@ -103,26 +103,28 @@ class Engine {
   const Database& edb() const { return *edb_; }
 
   // ------------------------------------------------------------------
-  // Live ingest (src/ivm/): writers stage, one consumer re-saturates.
+  // Live ingest (src/ivm/): writers stage, one consumer moves the staged
+  // facts into the EDB.
   // ------------------------------------------------------------------
 
   /// Stages a fact on the ingest queue WITHOUT touching the EDB — safe
   /// from any thread concurrently with snapshot readers (interning is
   /// shared_mutex-guarded; the queue is MPSC), which is how serve
-  /// sessions handle FACT/INGEST without the engine mutex. The fact
-  /// reaches the EDB and the model at the next DrainIngest.
-  /// kResourceExhausted when the queue is full (backpressure).
+  /// sessions handle FACT/INGEST. The fact reaches the EDB at the next
+  /// PublishSnapshot, DrainIngest or Evaluate. kResourceExhausted when
+  /// the queue is full (backpressure).
   Status EnqueueFact(std::string_view predicate,
                      const std::vector<std::string>& args);
   Status EnqueueFactIds(std::string_view predicate,
                         std::vector<SeqId> args);
 
-  /// Drains the ingest queue: inserts every staged fact into the EDB,
-  /// then brings the model back to the fixpoint — incrementally via
+  /// Moves every staged fact into the EDB, then brings the model to the
+  /// fixpoint from the EDB rows it has not absorbed — incrementally via
   /// ivm::IncrementalModel::Apply when a live model exists, cold (with
-  /// EvalStats::cold_fallback set) after ClearFacts or queue overflow.
-  /// Single-consumer: call from one thread at a time (the Republisher
-  /// thread in serve), never concurrently with other Engine mutations.
+  /// EvalStats::cold_fallback set) after ClearFacts or a failed run.
+  /// Without a model (Evaluate never ran) it only moves the facts.
+  /// Single-consumer: call from one thread at a time, never
+  /// concurrently with other Engine mutations.
   eval::EvalOutcome DrainIngest(const eval::EvalOptions& options = {});
 
   ivm::IngestQueue* ingest_queue() { return &ingest_; }
@@ -144,22 +146,25 @@ class Engine {
   /// kFailedPrecondition (goal not demand-evaluable, see query/solver.h).
   Result<PreparedQuery> Prepare(std::string_view goal);
 
-  /// Publishes an immutable snapshot of the current EDB
-  /// (copy-on-publish: deep copy now; republishing an unchanged EDB
-  /// reuses the previous copy). Concurrent readers Execute against the
-  /// snapshot while this engine keeps accepting AddFact.
+  /// Moves every staged fact into the EDB and publishes an immutable
+  /// snapshot of it (copy-on-publish: deep copy now; republishing an
+  /// unchanged EDB reuses the previous copy). Concurrent readers Execute
+  /// against the snapshot while this engine keeps accepting AddFact.
+  /// The model is not touched: it catches up at the next DrainIngest.
   Snapshot PublishSnapshot();
 
   /// Static analysis of the loaded program (Definitions 8-10).
   analysis::SafetyReport AnalyzeSafety() const;
 
   /// Computes the least fixpoint over the current database (staged
-  /// ingest-queue facts are flushed into the EDB first). The model is
+  /// ingest-queue facts are moved into the EDB first). The model is
   /// kept — paired with its extended active domain — for Query and for
   /// incremental DrainIngest until the next Evaluate/LoadProgram.
   eval::EvalOutcome Evaluate(const eval::EvalOptions& options = {});
 
-  /// The computed interpretation (null before Evaluate).
+  /// The computed interpretation (null before Evaluate): the fixpoint
+  /// as of the last Evaluate or DrainIngest. Facts added since reach it
+  /// at the next DrainIngest.
   const Database* model() const { return live_model_.model(); }
 
   /// All tuples of `predicate` in the computed model, rendered; rows are
@@ -175,6 +180,11 @@ class Engine {
   std::string Render(SeqId id) const { return pool_.Render(id, symbols_); }
 
  private:
+  /// Moves every staged fact into the EDB; returns how many were staged.
+  /// A staged fact always inserts: EnqueueFactIds checked its predicate
+  /// and arity against the catalog (CHECKed here).
+  size_t FlushIngest();
+
   SymbolTable symbols_;
   SequencePool pool_;
   Catalog catalog_;
@@ -186,22 +196,22 @@ class Engine {
   /// The saturated model + domain pair (replaces the old bare model_);
   /// declared after evaluator_ — the constructor wires them in order.
   ivm::IncrementalModel live_model_;
-  /// Staged post-fixpoint insertions awaiting DrainIngest.
+  /// Staged insertions awaiting FlushIngest.
   ivm::IngestQueue ingest_;
   /// Set when the live model can no longer be extended incrementally
-  /// (ClearFacts retraction, ingest-queue overflow, failed Apply): the
-  /// next DrainIngest recomputes cold and flags EvalStats::cold_fallback.
+  /// (ClearFacts retraction, failed Apply): the next DrainIngest
+  /// recomputes cold and flags EvalStats::cold_fallback.
   bool ivm_cold_pending_ = false;
   bool program_loaded_ = false;
   /// Bumped on every EDB mutation; drives snapshot copy-on-publish.
   uint64_t edb_version_ = 0;
   /// Cache of the most recent publication (reused while unchanged). The
-  /// domain is built incrementally: per-relation row watermarks mark the
-  /// rows already rooted at the previous publish (facts are append-only;
+  /// domain is built incrementally: the row watermark marks the rows
+  /// already rooted at the previous publish (facts are append-only;
   /// ClearFacts resets all three).
   std::shared_ptr<const Database> published_;
   std::shared_ptr<const ExtendedDomain> published_domain_;
-  std::vector<uint32_t> published_row_watermark_;
+  Database::Watermark published_row_watermark_;
   uint64_t published_version_ = 0;
 };
 

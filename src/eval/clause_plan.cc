@@ -369,7 +369,6 @@ Result<ClausePlan> CompileClause(const ast::Clause& clause,
     chosen.enum_vars = std::move(best_plan.enum_vars);
     chosen.modes = std::move(best_plan.modes);
     chosen.bind_side = best_plan.bind_side;
-    if (!chosen.enum_vars.empty()) plan.domain_sensitive = true;
     for (VarRef v : chosen.enum_vars) note_enumerated(v);
     if (chosen.kind == LiteralStep::Kind::kEq && chosen.bind_side >= 0) {
       note_read(DomainRead::kMembership);
@@ -378,7 +377,6 @@ Result<ClausePlan> CompileClause(const ast::Clause& clause,
     // buckets, so domain growth alone can create new matches here too.
     for (ArgMode mode : chosen.modes) {
       if (mode == ArgMode::kInverseSuffix) {
-        plan.domain_sensitive = true;
         note_read(DomainRead::kEnumeration);
       }
     }
@@ -401,7 +399,6 @@ Result<ClausePlan> CompileClause(const ast::Clause& clause,
     }
   }
   plan.head_enum_vars.assign(head_unbound.begin(), head_unbound.end());
-  if (!plan.head_enum_vars.empty()) plan.domain_sensitive = true;
   for (VarRef v : plan.head_enum_vars) note_enumerated(v);
 
   return plan;
@@ -427,7 +424,8 @@ std::string DebugString(const ClausePlan& plan, const Catalog& catalog) {
   std::string out =
       StrCat("plan head=", catalog.Name(plan.head_pred),
              plan.constructive ? " [constructive]" : "",
-             plan.domain_sensitive ? " [domain-sensitive]" : "",
+             plan.domain_read != DomainRead::kNone ? " [domain-sensitive]"
+                                                   : "",
              " domain: ", DomainReadName(plan.domain_read), "\n");
   auto var_name = [&](VarRef v) {
     return v.is_index ? plan.idx_var_names[v.id] : plan.seq_var_names[v.id];

@@ -97,10 +97,10 @@ struct ClausePlan {
   std::vector<std::string> seq_var_names;  ///< id -> name (diagnostics)
   std::vector<std::string> idx_var_names;
 
-  /// True if the clause can derive new facts from domain growth alone.
-  bool domain_sensitive = false;
-
-  /// What firing the clause reads from the domain.
+  /// What firing the clause reads from the domain. Any read other than
+  /// kNone makes the clause domain-sensitive: it can derive new facts
+  /// from domain growth alone, so semi-naive rounds re-fire it in full
+  /// whenever the domain grew.
   DomainRead domain_read = DomainRead::kNone;
 
   /// True if the head contains ++ or @T terms (constructive clause).

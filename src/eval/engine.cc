@@ -255,9 +255,11 @@ Status Evaluator::Saturate(const std::vector<size_t>& subset, bool naive,
     for (size_t idx : subset) {
       const ClausePlan& plan = plans_[idx];
       if (naive || first ||
-          (plan.domain_sensitive && domain_grew_last_round)) {
-        // New domain elements can satisfy enumerated variables with old
-        // facts; a full re-fire is the only sound option.
+          (plan.domain_read != DomainRead::kNone &&
+           domain_grew_last_round)) {
+        // New domain elements can satisfy a domain read (an enumerated
+        // variable, an index range, a membership test) with old facts;
+        // a full re-fire is the only sound option.
         tasks.push_back(FireTask{idx, kNoDelta});
         continue;
       }
@@ -370,7 +372,8 @@ EvalOutcome Evaluator::Evaluate(
 }
 
 EvalOutcome Evaluator::Resaturate(Database* model, ExtendedDomain* domain,
-                                  const Database& batch,
+                                  const Database& edb,
+                                  Database::Watermark* absorbed,
                                   const EvalOptions& options) const {
   EvalOutcome outcome;
   RunState state;
@@ -385,45 +388,32 @@ EvalOutcome Evaluator::Resaturate(Database* model, ExtendedDomain* domain,
     state.deadline =
         state.start + std::chrono::milliseconds(options.limits.max_millis);
   }
-  // Seed: only facts genuinely new to the model become the round-0
+  // Seed: only rows genuinely new to the model become the round-0
   // delta; their argument sequences close into the domain exactly like
   // an EDB load. Duplicates are already below the fixpoint — reseeding
   // them would only re-derive what the model holds.
   const size_t domain_before = domain->size();
   const auto load_start = std::chrono::steady_clock::now();
   std::vector<SeqId> roots;
-  Status status = Status::Ok();
-  for (PredId pred : batch.PredicatesWithRelations()) {
-    const Relation* rel = batch.Get(pred);
-    if (rel == nullptr || rel->empty()) continue;
-    for (uint32_t i = 0; i < rel->size() && status.ok(); ++i) {
-      TupleView row = rel->RowAt(i);
-      Result<bool> inserted = model->TryInsert(pred, row);
-      if (!inserted.ok()) {
-        status = inserted.status();
-        break;
-      }
-      if (!inserted.value()) continue;
-      ++state.stats.ingested_facts;
-      state.delta->Insert(pred, row);
-      roots.insert(roots.end(), row.begin(), row.end());
-    }
-    if (!status.ok()) break;
-  }
-  if (status.ok()) {
-    status = domain->ExtendWith(roots, options.limits.max_domain_sequences);
-  }
+  edb.ForEachRowPast(absorbed, [&](PredId pred, TupleView row) {
+    if (!model->Insert(pred, row)) return;
+    ++state.stats.ingested_facts;
+    state.delta->Insert(pred, row);
+    roots.insert(roots.end(), row.begin(), row.end());
+  });
+  Status status =
+      domain->ExtendWith(roots, options.limits.max_domain_sequences);
   state.stats.domain_load_millis += MillisSince(load_start);
   state.domain_grew = domain->size() != domain_before;
   state.last_merged_new = state.stats.ingested_facts;
   if (status.ok() && state.stats.ingested_facts > 0) {
     // Same rounds as a cold run, minus the initial full firing: any new
     // derivation uses at least one seeded fact (semi-naive argument), or
-    // a domain element the seed closure introduced — which the
-    // domain-sensitive full re-fires inside Saturate cover. Always the
-    // flat loop: re-applying rules to a saturated model is sound for any
-    // interpretation between the old and the new fixpoint, so stratified
-    // programs need no stratum order here.
+    // a domain element the seed closure introduced — which the full
+    // re-fires of domain-reading clauses inside Saturate cover. Always
+    // the flat loop: re-applying rules to a saturated model is sound for
+    // any interpretation between the old and the new fixpoint, so
+    // stratified programs need no stratum order here.
     std::vector<size_t> all(plans_.size());
     std::iota(all.begin(), all.end(), 0);
     status = Saturate(all, /*naive=*/false, /*first_full=*/false, &state);

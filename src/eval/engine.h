@@ -7,9 +7,10 @@
 //  * kSemiNaive  — production path: after the first iteration a clause
 //                  fires once per body predicate literal with that
 //                  literal restricted to the previous iteration's new
-//                  facts; clauses that enumerate the domain (domain
-//                  sensitive) additionally re-fire fully whenever the
-//                  extended active domain grew.
+//                  facts; clauses that read the domain (domain
+//                  sensitive: ClausePlan::domain_read is not kNone)
+//                  additionally re-fire fully whenever the extended
+//                  active domain grew.
 //  * kStratified — the Theorem 8 strategy for strongly safe programs:
 //                  strata in dependency-graph order, constructive rules
 //                  applied once per stratum, non-constructive rules
@@ -111,28 +112,29 @@ class Evaluator {
 
   /// Incremental re-saturation (the live-ingest entry point, src/ivm/):
   /// `model` must hold the least fixpoint of the current program over
-  /// some database D and `domain` must be the extended active domain of
-  /// that run (keep both via the `domain_out` Evaluate overload). The
-  /// atoms of `batch` are seeded as a round-0 delta — duplicates already
-  /// in the model are dropped, new argument sequences close into the
-  /// domain exactly like an EDB load — and the same semi-naive rounds
+  /// the rows of `edb` before `*absorbed`, and `domain` must be the
+  /// extended active domain of that run (keep both via the `domain_out`
+  /// Evaluate overload). The rows of `edb` past `*absorbed` are seeded
+  /// as a round-0 delta — rows already in the model are dropped, new
+  /// argument sequences close into the domain exactly like an EDB load —
+  /// and `*absorbed` advances past them. Then the same semi-naive rounds
   /// re-run until the fixpoint: delta firings per body literal, full
   /// re-fires of domain-sensitive clauses while the domain grows, the
-  /// same round barrier as a cold run. Because the
-  /// T-operator is monotone for insert-only deltas, the result equals a
-  /// cold Evaluate over D union batch (property-tested bit-identically,
+  /// same round barrier as a cold run. Because the T-operator is
+  /// monotone for insert-only deltas, the result equals a cold Evaluate
+  /// over all of `edb` (property-tested bit-identically,
   /// tests/ivm_test.cc); retractions are NOT supported — callers must
   /// cold-recompute instead (EvalStats::cold_fallback).
   ///
   /// Always runs the flat semi-naive loop regardless of
   /// options.strategy: re-applying rules to an already-saturated model
-  /// is sound and complete for any set between D and lfp(D union batch).
-  /// Fills EvalStats::resaturate_rounds / resaturate_millis /
+  /// is sound and complete for any set between the old and the new
+  /// fixpoint. Fills EvalStats::resaturate_rounds / resaturate_millis /
   /// ingested_facts. On a budget error the model holds a partial
-  /// extension (supersets D's fixpoint) — callers should treat it as
+  /// extension (supersets the old fixpoint) — callers should treat it as
   /// poisoned and rebuild cold.
   EvalOutcome Resaturate(Database* model, ExtendedDomain* domain,
-                         const Database& batch,
+                         const Database& edb, Database::Watermark* absorbed,
                          const EvalOptions& options) const;
 
  private:

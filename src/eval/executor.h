@@ -65,12 +65,13 @@ struct EvalStats {
   size_t resaturate_rounds = 0;
   /// Wall-clock of the incremental re-saturation (seed rooting included).
   double resaturate_millis = 0;
-  /// Batch facts genuinely new to the model (duplicates are dropped at
-  /// the seed, so this is the round-0 delta size).
+  /// EDB rows absorbed that were genuinely new to the model (duplicates
+  /// are dropped at the seed, so this is the round-0 delta size). On a
+  /// drain that runs no resaturation, the staged facts it moved.
   size_t ingested_facts = 0;
   /// True when a drain could not re-saturate incrementally (retraction
-  /// via ClearFacts, or ingest-queue overflow) and fell back to a cold
-  /// recompute of the whole model instead.
+  /// via ClearFacts, or a failed run) and fell back to a cold recompute
+  /// of the whole model instead.
   bool cold_fallback = false;
   /// Per-iteration (facts, domain size) when growth tracking is on; used
   /// by the Example 1.5 / 1.6 benchmarks to plot divergence.

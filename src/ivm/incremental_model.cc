@@ -7,6 +7,8 @@ eval::EvalOutcome IncrementalModel::Build(const Database& edb,
                                           const eval::EvalOptions& options) {
   model_ = std::make_unique<Database>(catalog_);
   domain_.reset();
+  absorbed_.clear();
+  edb.ForEachRowPast(&absorbed_, nullptr);
   eval::EvalOutcome outcome = evaluator_->Evaluate(
       edb, /*extra_facts=*/nullptr, /*base_domain=*/nullptr, options,
       model_.get(), &domain_);
@@ -14,7 +16,7 @@ eval::EvalOutcome IncrementalModel::Build(const Database& edb,
   return outcome;
 }
 
-eval::EvalOutcome IncrementalModel::Apply(const Database& batch,
+eval::EvalOutcome IncrementalModel::Apply(const Database& edb,
                                           const eval::EvalOptions& options) {
   eval::EvalOutcome outcome;
   if (!built_) {
@@ -22,8 +24,8 @@ eval::EvalOutcome IncrementalModel::Apply(const Database& batch,
         "no saturated model to extend; Build first");
     return outcome;
   }
-  outcome = evaluator_->Resaturate(model_.get(), domain_.get(), batch,
-                                   options);
+  outcome = evaluator_->Resaturate(model_.get(), domain_.get(), edb,
+                                   &absorbed_, options);
   // A failed resaturation leaves the model between two fixpoints —
   // a state no future delta can repair incrementally.
   if (!outcome.status.ok()) built_ = false;
@@ -33,6 +35,7 @@ eval::EvalOutcome IncrementalModel::Apply(const Database& batch,
 void IncrementalModel::Invalidate() {
   model_.reset();
   domain_.reset();
+  absorbed_.clear();
   built_ = false;
 }
 

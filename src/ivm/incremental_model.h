@@ -1,22 +1,23 @@
-// seqlog: a saturated model maintained under insert-only deltas.
+// seqlog: a saturated model that catches up with an insert-only EDB.
 //
 // IncrementalModel pairs an evaluated Database with the ExtendedDomain
 // of the run that produced it — the pairing Evaluator::Resaturate needs
-// and the one thing a cold Engine::Evaluate used to throw away. Build
-// runs the cold fixpoint and keeps both; Apply seeds a batch of new
-// facts as a round-0 delta and re-runs the semi-naive rounds in place,
-// which is sound for insert-only deltas because the T-operator is
-// monotone (lfp(D u B) is reachable by saturating from lfp(D) u B).
-// Retractions are NOT expressible as deltas — callers Invalidate and
-// Build cold instead (Engine::ClearFacts does, flagging
-// EvalStats::cold_fallback).
+// and the one thing a cold Engine::Evaluate used to throw away — and
+// records, per relation, how many EDB rows the model has absorbed (a
+// row watermark). Build runs the cold fixpoint and keeps all three;
+// Apply seeds the EDB rows past the watermark as a round-0 delta and
+// re-runs the semi-naive rounds in place, which is sound for
+// insert-only deltas because the T-operator is monotone (lfp(D u B) is
+// reachable by saturating from lfp(D) u B). Facts are append-only until
+// Engine::ClearFacts replaces the EDB; retractions are NOT expressible
+// as deltas — callers Invalidate and Build cold instead (the Engine
+// does, flagging EvalStats::cold_fallback).
 //
 // Concurrency contract (docs/CONCURRENCY.md): single-writer, like the
 // Database it wraps. One thread at a time may call
 // Build/Apply/Invalidate; model() readers must not overlap a writer.
-// The live-ingest pipeline guarantees this by funnelling every mutation
-// through the Republisher thread; readers see the model only through
-// published snapshots.
+// Nothing in the serving tier touches the model: servers answer from
+// published snapshots of the EDB.
 #ifndef SEQLOG_IVM_INCREMENTAL_MODEL_H_
 #define SEQLOG_IVM_INCREMENTAL_MODEL_H_
 
@@ -36,20 +37,22 @@ class IncrementalModel {
   IncrementalModel(const eval::Evaluator* evaluator, Catalog* catalog)
       : evaluator_(evaluator), catalog_(catalog) {}
 
-  /// Cold fixpoint over `edb`; replaces any previous model and retains
-  /// the run's domain for later Apply calls. On a budget error the
-  /// partial model is kept for inspection (model() returns it) but the
-  /// pair is not Apply-able: built() stays false.
+  /// Cold fixpoint over `edb`; replaces any previous model, retains the
+  /// run's domain and marks every row of `edb` absorbed. On a budget
+  /// error the partial model is kept for inspection (model() returns
+  /// it) but the pair is not Apply-able: built() stays false.
   eval::EvalOutcome Build(const Database& edb,
                           const eval::EvalOptions& options);
 
-  /// Incremental re-saturation: seeds the atoms of `batch` (duplicates
-  /// dropped) as a round-0 delta and re-runs the semi-naive rounds until
-  /// the new fixpoint — identical to a cold Build over the union,
-  /// without re-deriving the old model. kFailedPrecondition unless
-  /// built(). On error the model is poisoned (partially extended) and
-  /// built() drops to false; rebuild cold.
-  eval::EvalOutcome Apply(const Database& batch,
+  /// Incremental re-saturation: seeds the rows of `edb` past the
+  /// watermark (rows already in the model dropped) as a round-0 delta
+  /// and re-runs the semi-naive rounds until the new fixpoint —
+  /// identical to a cold Build over `edb`, without re-deriving the old
+  /// model. `edb` must be the database of the last Build, grown only by
+  /// inserts since. kFailedPrecondition unless built(). On error the
+  /// model is poisoned (partially extended) and built() drops to false;
+  /// rebuild cold.
+  eval::EvalOutcome Apply(const Database& edb,
                           const eval::EvalOptions& options);
 
   /// Drops the model and domain (program change, retraction).
@@ -74,6 +77,8 @@ class IncrementalModel {
   Catalog* catalog_;
   std::unique_ptr<Database> model_;
   std::unique_ptr<ExtendedDomain> domain_;
+  /// EDB rows the model has absorbed, per relation.
+  Database::Watermark absorbed_;
   bool built_ = false;
 };
 

@@ -11,10 +11,6 @@ IngestQueue::IngestQueue(size_t capacity)
 Status IngestQueue::TryPush(PendingFact fact) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return Status::FailedPrecondition("ingest queue is closed");
-    }
     if (items_.size() >= capacity_) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return Status::ResourceExhausted("ingest queue is full");
@@ -35,6 +31,7 @@ size_t IngestQueue::DrainTo(std::vector<PendingFact>* out) {
   for (PendingFact& fact : items_) out->push_back(std::move(fact));
   items_.clear();
   depth_.store(0, std::memory_order_relaxed);
+  drained_.fetch_add(n, std::memory_order_relaxed);
   return n;
 }
 
@@ -43,7 +40,7 @@ size_t IngestQueue::WaitForWork(size_t threshold,
   std::unique_lock<std::mutex> lock(mu_);
   const uint64_t seq = wake_seq_;
   cv_.wait_for(lock, timeout, [&] {
-    return closed_ || wake_seq_ != seq ||
+    return wake_seq_ != seq ||
            (threshold > 0 && items_.size() >= threshold);
   });
   return items_.size();
@@ -55,20 +52,6 @@ void IngestQueue::Wake() {
     ++wake_seq_;
   }
   cv_.notify_all();
-}
-
-void IngestQueue::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    ++wake_seq_;
-  }
-  cv_.notify_all();
-}
-
-bool IngestQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
 }
 
 double IngestQueue::OldestPendingMillis() const {

@@ -1,16 +1,17 @@
 // seqlog: bounded MPSC staging buffer for live ingest.
 //
-// Writers (serve sessions handling FACT/INGEST, Engine::AddFact after a
-// fixpoint exists) stage post-fixpoint insertions here instead of taking
-// the engine write path inline, so a write never holds the engine mutex
-// and never blocks a reader. A single consumer — ivm::Republisher, or
-// whoever calls Engine::DrainIngest — drains the queue in FIFO order and
-// re-saturates the model with the batch.
+// Writers (serve sessions handling FACT/INGEST through
+// Engine::EnqueueFact) stage insertions here instead of writing the EDB
+// inline, so a write never blocks a reader. A single consumer — the
+// engine's PublishSnapshot, DrainIngest or Evaluate, called by
+// ivm::Republisher while a server runs — drains the queue in FIFO order
+// into the EDB.
 //
 // Concurrency contract (docs/CONCURRENCY.md): TryPush is safe from any
 // number of threads; DrainTo must be called by one consumer at a time
-// (the Republisher thread owns it). depth()/enqueued()/rejected() are
-// lock-free reads of atomic counters and may be sampled from anywhere;
+// (the Republisher thread owns it). depth()/enqueued()/drained()/
+// rejected() are lock-free reads of atomic counters and may be sampled
+// from anywhere;
 // OldestPendingMillis takes the queue mutex briefly. Backpressure is a
 // kResourceExhausted from TryPush when the buffer is full — writers
 // surface it (serve maps it to SL-E102 overloaded) rather than block.
@@ -45,35 +46,33 @@ class IngestQueue {
   explicit IngestQueue(size_t capacity = 65536);
 
   /// Stages one fact. kResourceExhausted when the buffer is full (the
-  /// caller decides: reject upstream, or force a drain), and
-  /// kFailedPrecondition after Close().
+  /// caller decides: reject upstream, or force a drain).
   Status TryPush(PendingFact fact);
 
   /// Appends every staged fact to `out` in FIFO order and empties the
   /// queue; returns how many were drained. Single consumer only.
   size_t DrainTo(std::vector<PendingFact>* out);
 
-  /// Blocks until depth() >= threshold, Wake()/Close() is called, or
-  /// `timeout` elapses; returns the depth observed on return. The
-  /// Republisher's cadence loop sleeps here between drains.
+  /// Blocks until depth() >= threshold, Wake() is called, or `timeout`
+  /// elapses; returns the depth observed on return. The Republisher's
+  /// cadence loop sleeps here between publishes.
   size_t WaitForWork(size_t threshold, std::chrono::milliseconds timeout);
 
   /// Wakes a WaitForWork sleeper without pushing (force-publish, stop).
   void Wake();
-
-  /// Rejects all further TryPush calls and wakes sleepers. Drains still
-  /// work — shutdown is Close(), final DrainTo, final publish.
-  void Close();
 
   size_t capacity() const { return capacity_; }
   size_t depth() const { return depth_.load(std::memory_order_relaxed); }
   uint64_t enqueued() const {
     return enqueued_.load(std::memory_order_relaxed);
   }
+  /// Facts handed to DrainTo callers, over the queue's lifetime.
+  uint64_t drained() const {
+    return drained_.load(std::memory_order_relaxed);
+  }
   uint64_t rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
-  bool closed() const;
 
   /// Age of the oldest staged fact in milliseconds; 0 when empty. This
   /// is the snapshot-staleness bound the Republisher reports: nothing a
@@ -87,9 +86,9 @@ class IngestQueue {
   std::deque<PendingFact> items_;
   std::chrono::steady_clock::time_point oldest_;
   uint64_t wake_seq_ = 0;
-  bool closed_ = false;
   std::atomic<size_t> depth_{0};
   std::atomic<uint64_t> enqueued_{0};
+  std::atomic<uint64_t> drained_{0};
   std::atomic<uint64_t> rejected_{0};
 };
 

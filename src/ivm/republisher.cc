@@ -56,7 +56,7 @@ Status Republisher::ForcePublish() {
   if (done_seq_ < target) {
     return Status::FailedPrecondition("republisher stopped while waiting");
   }
-  return last_status_;
+  return Status::Ok();
 }
 
 bool Republisher::running() const {
@@ -67,14 +67,7 @@ bool Republisher::running() const {
 IngestStats Republisher::stats() const {
   IngestStats s;
   s.ingested_facts = ingested_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.resaturate_rounds = rounds_.load(std::memory_order_relaxed);
-  s.resaturate_millis =
-      static_cast<double>(resaturate_micros_.load(std::memory_order_relaxed)) /
-      1000.0;
   s.publishes = publishes_.load(std::memory_order_relaxed);
-  s.cold_fallbacks = cold_fallbacks_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
   s.last_version = last_version_.load(std::memory_order_relaxed);
   return s;
 }
@@ -113,7 +106,7 @@ void Republisher::Loop() {
     }
     queue_->WaitForWork(threshold, timeout);
   }
-  // Final drain: staged facts must not be stranded by shutdown.
+  // Final publish: staged facts must not be stranded by shutdown.
   DrainAndPublish();
 }
 
@@ -121,35 +114,23 @@ void Republisher::DrainAndPublish() {
   uint64_t target;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Force requests issued before the drain starts are satisfied by
-    // it (the drain empties the whole queue); later requests trigger
-    // another cycle.
+    // Force requests issued before the publish starts are satisfied by
+    // it (it empties the whole queue); later requests trigger another
+    // cycle.
     target = force_seq_;
   }
-  eval::EvalOutcome outcome = engine_->DrainIngest(options_.eval);
-  ingested_.fetch_add(outcome.stats.ingested_facts,
+  // This thread is the queue's only consumer while running, so the
+  // drained count it sees move is exactly what this publish moved.
+  const uint64_t drained_before = queue_->drained();
+  Snapshot snapshot = engine_->PublishSnapshot();
+  ingested_.fetch_add(queue_->drained() - drained_before,
                       std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  rounds_.fetch_add(outcome.stats.resaturate_rounds,
-                    std::memory_order_relaxed);
-  resaturate_micros_.fetch_add(
-      static_cast<uint64_t>(outcome.stats.resaturate_millis * 1000.0),
-      std::memory_order_relaxed);
-  if (outcome.stats.cold_fallback) {
-    cold_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (outcome.status.ok()) {
-    Snapshot snapshot = engine_->PublishSnapshot();
-    last_version_.store(snapshot.version(), std::memory_order_relaxed);
-    if (hook_) hook_(snapshot);
-    publishes_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-  }
+  last_version_.store(snapshot.version(), std::memory_order_relaxed);
+  if (hook_) hook_(snapshot);
+  publishes_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     done_seq_ = std::max(done_seq_, target);
-    last_status_ = outcome.status;
   }
   cv_.notify_all();
 }

@@ -1,24 +1,25 @@
 // seqlog: the single consumer of the ingest queue.
 //
 // Republisher owns a background thread that turns staged writes into
-// visible reads: it drains Engine's IngestQueue when a batch threshold
-// or a cadence deadline is hit, re-saturates the model incrementally
-// (Engine::DrainIngest -> IncrementalModel::Apply), and atomically
-// republishes a snapshot through a caller-supplied hook. Readers never
-// block on writes — they keep executing against the previous snapshot
-// until the hook swaps in the next one — and writers never block on
-// evaluation: they stage and return.
+// visible reads: when a batch threshold or a cadence deadline is hit it
+// calls Engine::PublishSnapshot, which moves the staged facts into the
+// EDB and publishes a snapshot of it, and hands the snapshot to a
+// caller-supplied hook. Readers never block on writes — they keep
+// executing against the previous snapshot until the hook swaps in the
+// next one — and writers never block on publication: they stage and
+// return. The engine's model is not touched; it catches up from the
+// EDB when someone calls Engine::DrainIngest.
 //
 // Staleness model (docs/STREAMING.md): a fact staged at time t is
-// visible to readers no later than t + cadence + one resaturation. The
+// visible to readers no later than t + cadence + one publish. The
 // queue's oldest-pending age is the live bound and is exported as
 // snapshot staleness.
 //
 // Concurrency contract (docs/CONCURRENCY.md): the Republisher thread is
 // the engine's only mutator while running — callers must not AddFact /
-// Evaluate / ClearFacts concurrently (EnqueueFact and snapshot reads
-// are safe from anywhere). Start/Stop from one controlling thread;
-// ForcePublish and stats() from any thread.
+// Evaluate / DrainIngest / ClearFacts concurrently (EnqueueFact and
+// snapshot reads are safe from anywhere). Start/Stop from one
+// controlling thread; ForcePublish and stats() from any thread.
 #ifndef SEQLOG_IVM_REPUBLISHER_H_
 #define SEQLOG_IVM_REPUBLISHER_H_
 
@@ -31,38 +32,30 @@
 
 #include "core/engine.h"
 #include "core/snapshot.h"
-#include "eval/engine.h"
 
 namespace seqlog {
 namespace ivm {
 
 struct RepublisherOptions {
   /// Publish at least this often while facts are pending: the oldest
-  /// staged fact never waits longer than this before a drain starts.
+  /// staged fact never waits longer than this before a publish starts.
   uint64_t cadence_ms = 25;
-  /// Drain early once this many facts are staged (>= 1).
+  /// Publish early once this many facts are staged (>= 1).
   size_t drain_threshold = 256;
-  /// Evaluation options for the resaturation runs.
-  eval::EvalOptions eval;
 };
 
 /// Monotonic counters, sampled lock-free by STATS.
 struct IngestStats {
-  uint64_t ingested_facts = 0;    ///< facts drained into the model
-  uint64_t batches = 0;           ///< drain cycles run
-  uint64_t resaturate_rounds = 0; ///< fixpoint rounds across all drains
-  double resaturate_millis = 0;   ///< wall-clock across all drains
-  uint64_t publishes = 0;         ///< snapshots handed to the hook
-  uint64_t cold_fallbacks = 0;    ///< drains that recomputed cold
-  uint64_t errors = 0;            ///< drains that failed (budget, arity)
-  uint64_t last_version = 0;      ///< EDB version of the last publish
+  uint64_t ingested_facts = 0;  ///< staged facts moved into the EDB
+  uint64_t publishes = 0;       ///< snapshots handed to the hook
+  uint64_t last_version = 0;    ///< EDB version of the last publish
 };
 
 class Republisher {
  public:
-  /// Called on the Republisher thread after every successful drain with
-  /// the freshly published snapshot; the serve tier swaps its current_
-  /// here. Must be cheap and must not call back into the Republisher.
+  /// Called on the Republisher thread after every publish with the
+  /// fresh snapshot; the serve tier swaps its current_ here. Must be
+  /// cheap and must not call back into the Republisher.
   using PublishHook = std::function<void(const Snapshot&)>;
 
   Republisher(Engine* engine, RepublisherOptions options, PublishHook hook);
@@ -71,16 +64,14 @@ class Republisher {
   Republisher(const Republisher&) = delete;
   Republisher& operator=(const Republisher&) = delete;
 
-  /// Spawns the drain loop. The engine must already be evaluated (or
-  /// intentionally cold: drains then only feed the EDB/snapshots).
+  /// Spawns the publish loop.
   void Start();
 
-  /// Final drain + publish, then joins the thread. Idempotent.
+  /// Final publish, then joins the thread. Idempotent.
   void Stop();
 
-  /// Blocks until a drain that started after this call has completed
-  /// and its snapshot is published — every fact staged before the call
-  /// is visible afterwards. Returns the status of that drain.
+  /// Blocks until a publish that started after this call has completed
+  /// — every fact staged before the call is visible afterwards.
   /// kFailedPrecondition when the loop is not running.
   Status ForcePublish();
 
@@ -92,6 +83,8 @@ class Republisher {
 
  private:
   void Loop();
+  /// Publishes (moving every staged fact into the EDB), calls the hook
+  /// and satisfies the force requests issued before it started.
   void DrainAndPublish();
 
   Engine* engine_;
@@ -106,15 +99,9 @@ class Republisher {
   bool stop_ = false;      ///< guarded by mu_
   uint64_t force_seq_ = 0; ///< force requests issued (guarded by mu_)
   uint64_t done_seq_ = 0;  ///< force requests satisfied (guarded by mu_)
-  Status last_status_;     ///< of the most recent drain (guarded by mu_)
 
   std::atomic<uint64_t> ingested_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> rounds_{0};
-  std::atomic<uint64_t> resaturate_micros_{0};
   std::atomic<uint64_t> publishes_{0};
-  std::atomic<uint64_t> cold_fallbacks_{0};
-  std::atomic<uint64_t> errors_{0};
   std::atomic<uint64_t> last_version_{0};
 };
 

@@ -15,15 +15,15 @@
 //                              OK items=n rows=5 runs=1 micros=922
 //                              ITEM 0 rows=2   (+2 ROW lines)
 //                              ITEM 1 ERR SL-E010 <message>
-//   STATS                      OK stats=29     (+29 "STAT <key> <value>")
+//   STATS                      OK stats=43     (+43 "STAT <key> <value>")
 //   HEALTH                     OK serving snapshot=3 uptime_ms=1200
 //   FACT <pred> [v1 ...]       OK fact queued depth=3
-//                              (staged on the ingest queue; visible once
-//                              the republisher drains, or after PUBLISH)
+//                              (staged on the ingest queue; visible after
+//                              the republisher's next publish or PUBLISH)
 //   INGEST <pred> <n>          (then n lines "v1 ... vk", one fact each)
 //                              OK ingested=n depth=12
 //   PUBLISH                    OK snapshot=4 facts=1201   (forces a
-//                              drain + resaturation + republish first)
+//                              publish of everything staged first)
 //   QUIT                       OK bye           (server closes)
 //
 // Values are rendered sequences; the empty sequence travels as the

@@ -123,7 +123,15 @@ class Server::LineReader {
 };
 
 Server::Server(Engine* engine, ServerOptions options)
-    : engine_(engine), options_(std::move(options)) {
+    : engine_(engine),
+      options_(std::move(options)),
+      republisher_(engine,
+                   ivm::RepublisherOptions{options_.ingest_cadence_ms,
+                                           options_.ingest_threshold},
+                   [this](const Snapshot& snapshot) {
+                     std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
+                     current_ = snapshot;
+                   }) {
   if (options_.sessions == 0) options_.sessions = 1;
 }
 
@@ -170,24 +178,12 @@ Status Server::Start() {
   listen_fd_ = fd;
 
   {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    std::unique_lock<std::shared_mutex> snap_lock(snapshot_mu_);
+    std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
     current_ = engine_->PublishSnapshot();
   }
-  if (options_.live_ingest) {
-    // From here on the Republisher thread owns every engine mutation;
-    // session threads only stage (EnqueueFact) and read snapshots.
-    ivm::RepublisherOptions ropts;
-    ropts.cadence_ms = options_.ingest_cadence_ms;
-    ropts.drain_threshold = options_.ingest_threshold;
-    ropts.eval = options_.eval;
-    republisher_ = std::make_unique<ivm::Republisher>(
-        engine_, ropts, [this](const Snapshot& snapshot) {
-          std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
-          current_ = snapshot;
-        });
-    republisher_->Start();
-  }
+  // From here on the Republisher thread owns every engine mutation;
+  // session threads only stage (EnqueueFact) and read snapshots.
+  republisher_.Start();
 
   acceptor_ = std::thread([this] { AcceptLoop(); });
   sessions_.reserve(options_.sessions);
@@ -218,9 +214,9 @@ void Server::Wait() {
     stats_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
     RefuseConnection(conn.fd, kCodeDraining, "server draining");
   }
-  // Sessions are gone, so no more writers: the final drain publishes
+  // Sessions are gone, so no more writers: the final publish covers
   // every staged fact before the server reports itself drained.
-  if (republisher_ != nullptr) republisher_->Stop();
+  republisher_.Stop();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -363,11 +359,11 @@ void Server::HandleRequest(Session* session, const Request& request,
 }
 
 std::string Server::HandlePrepare(const Request& request) {
-  // No engine mutex (the PR 7 write-stall fix): Prepare only reads the
-  // program — immutable while the server runs — and interns goal
-  // constants through the shared_mutex-guarded pool/symbols/catalog,
-  // all safe concurrently with other PREPAREs, with executing readers
-  // and with the Republisher's drains.
+  // No lock: Prepare only reads the program — immutable while the
+  // server runs — and interns goal constants through the
+  // shared_mutex-guarded pool/symbols/catalog, all safe concurrently
+  // with other PREPAREs, with executing readers and with the
+  // Republisher's publishes.
   Result<PreparedQuery> prepared = engine_->Prepare(request.goal);
   if (!prepared.ok()) {
     stats_.exec_errors.fetch_add(1, std::memory_order_relaxed);
@@ -596,37 +592,25 @@ std::string Server::HandleStats() {
   pairs.emplace_back("sessions", std::to_string(options_.sessions));
   pairs.emplace_back("max_pending", std::to_string(options_.max_pending));
   pairs.emplace_back("draining", draining() ? "1" : "0");
-  if (republisher_ != nullptr) {
-    const ivm::IngestQueue* queue = engine_->ingest_queue();
-    const ivm::IngestStats ingest = republisher_->stats();
-    pairs.emplace_back("ingest_queue_depth", std::to_string(queue->depth()));
-    pairs.emplace_back("ingest_queue_capacity",
-                       std::to_string(queue->capacity()));
-    pairs.emplace_back("ingest_enqueued", std::to_string(queue->enqueued()));
-    pairs.emplace_back("ingest_rejected", std::to_string(queue->rejected()));
-    pairs.emplace_back("ingested_facts",
-                       std::to_string(ingest.ingested_facts));
-    pairs.emplace_back("ingest_batches", std::to_string(ingest.batches));
-    pairs.emplace_back("resaturate_rounds",
-                       std::to_string(ingest.resaturate_rounds));
-    char dbuf[64];
-    std::snprintf(dbuf, sizeof dbuf, "%.1f", ingest.resaturate_millis);
-    pairs.emplace_back("resaturate_millis", dbuf);
-    pairs.emplace_back("ingest_cold_fallbacks",
-                       std::to_string(ingest.cold_fallbacks));
-    pairs.emplace_back("ingest_errors", std::to_string(ingest.errors));
-    pairs.emplace_back("publishes", std::to_string(ingest.publishes));
-    pairs.emplace_back(
-        "snapshot_staleness_ms",
-        std::to_string(static_cast<uint64_t>(
-            republisher_->SnapshotStalenessMillis())));
-    const double uptime = stats_.uptime_seconds();
-    std::snprintf(
-        dbuf, sizeof dbuf, "%.1f",
-        uptime > 0 ? static_cast<double>(ingest.ingested_facts) / uptime
-                   : 0.0);
-    pairs.emplace_back("ingest_facts_per_sec", dbuf);
-  }
+  const ivm::IngestQueue* queue = engine_->ingest_queue();
+  const ivm::IngestStats ingest = republisher_.stats();
+  pairs.emplace_back("ingest_queue_depth", std::to_string(queue->depth()));
+  pairs.emplace_back("ingest_queue_capacity",
+                     std::to_string(queue->capacity()));
+  pairs.emplace_back("ingest_enqueued", std::to_string(queue->enqueued()));
+  pairs.emplace_back("ingest_rejected", std::to_string(queue->rejected()));
+  pairs.emplace_back("ingested_facts", std::to_string(ingest.ingested_facts));
+  pairs.emplace_back("publishes", std::to_string(ingest.publishes));
+  pairs.emplace_back("snapshot_staleness_ms",
+                     std::to_string(static_cast<uint64_t>(
+                         republisher_.SnapshotStalenessMillis())));
+  const double uptime = stats_.uptime_seconds();
+  char dbuf[64];
+  std::snprintf(
+      dbuf, sizeof dbuf, "%.1f",
+      uptime > 0 ? static_cast<double>(ingest.ingested_facts) / uptime
+                 : 0.0);
+  pairs.emplace_back("ingest_facts_per_sec", dbuf);
   std::string reply = StrCat("OK stats=", pairs.size());
   for (const auto& [key, value] : pairs) {
     reply.append(StrCat("\nSTAT ", key, " ", value));
@@ -646,33 +630,20 @@ std::string Server::HandleHealth() {
 }
 
 std::string Server::HandleFact(const Request& request) {
-  if (republisher_ != nullptr) {
-    // Stage, don't mutate: interning is thread-safe and the queue is
-    // MPSC, so this never blocks a reader or another writer. The fact
-    // becomes visible when the Republisher drains (cadence/threshold)
-    // or at the next PUBLISH.
-    Status status = engine_->EnqueueFact(request.name, request.values);
-    if (!status.ok()) {
-      stats_.exec_errors.fetch_add(1, std::memory_order_relaxed);
-      if (status.code() == StatusCode::kResourceExhausted) {
-        return ErrorReply(kCodeOverloaded,
-                          "ingest queue full; retry after a publish");
-      }
-      return ErrorReply(status);
-    }
-    return StrCat("OK fact queued depth=",
-                  engine_->ingest_queue()->depth());
-  }
-  Status status;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    status = engine_->AddFact(request.name, request.values);
-  }
+  // Stage, don't mutate: interning is thread-safe and the queue is
+  // MPSC, so this never blocks a reader or another writer. The fact
+  // becomes visible at the Republisher's next publish (cadence or
+  // threshold) or at the next PUBLISH.
+  Status status = engine_->EnqueueFact(request.name, request.values);
   if (!status.ok()) {
     stats_.exec_errors.fetch_add(1, std::memory_order_relaxed);
+    if (status.code() == StatusCode::kResourceExhausted) {
+      return ErrorReply(kCodeOverloaded,
+                        "ingest queue full; retry after a publish");
+    }
     return ErrorReply(status);
   }
-  return "OK fact";
+  return StrCat("OK fact queued depth=", engine_->ingest_queue()->depth());
 }
 
 std::string Server::HandleIngest(const Request& request, LineReader* reader,
@@ -698,13 +669,7 @@ std::string Server::HandleIngest(const Request& request, LineReader* reader,
   }
   size_t staged = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
-    Status status =
-        republisher_ != nullptr
-            ? engine_->EnqueueFact(request.name, lines[i])
-            : [&] {
-                std::lock_guard<std::mutex> lock(engine_mu_);
-                return engine_->AddFact(request.name, lines[i]);
-              }();
+    Status status = engine_->EnqueueFact(request.name, lines[i]);
     if (!status.ok()) {
       // Facts before the failure stay staged (each is independent).
       stats_.exec_errors.fetch_add(1, std::memory_order_relaxed);
@@ -723,27 +688,14 @@ std::string Server::HandleIngest(const Request& request, LineReader* reader,
 }
 
 std::string Server::HandlePublish() {
-  if (republisher_ != nullptr) {
-    // Force one drain + resaturation + republish; every fact staged
-    // before this request is visible when the reply goes out.
-    Status status = republisher_->ForcePublish();
-    if (!status.ok()) {
-      stats_.exec_errors.fetch_add(1, std::memory_order_relaxed);
-      return ErrorReply(status);
-    }
-    Snapshot snapshot = CurrentSnapshot();
-    return StrCat("OK snapshot=", snapshot.version(),
-                  " facts=", snapshot.TotalFacts());
+  // Force one publish; every fact staged before this request is visible
+  // when the reply goes out.
+  Status status = republisher_.ForcePublish();
+  if (!status.ok()) {
+    stats_.exec_errors.fetch_add(1, std::memory_order_relaxed);
+    return ErrorReply(status);
   }
-  Snapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    snapshot = engine_->PublishSnapshot();
-  }
-  {
-    std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
-    current_ = snapshot;
-  }
+  Snapshot snapshot = CurrentSnapshot();
   return StrCat("OK snapshot=", snapshot.version(),
                 " facts=", snapshot.TotalFacts());
 }

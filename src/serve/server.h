@@ -16,16 +16,17 @@
 //    start and runs PreparedQuery::ExecuteWith / ExecuteBatch against
 //    it — const, lock-free reads; both verbs turn wire values into a
 //    binding the same way.
-//  * WRITES never hold the engine mutex (the PR 7 write stall): FACT
-//    and INGEST intern on the session thread and stage on the engine's
-//    bounded ingest queue (Engine::EnqueueFact); an ivm::Republisher
-//    thread — the engine's only mutator while the server runs — drains
-//    at a cadence/threshold, re-saturates the model incrementally and
-//    swaps the published snapshot. PUBLISH forces one such cycle.
-//    PREPARE takes no lock either: it only reads the (immutable while
-//    serving) program and interns through shared_mutex-guarded tables,
-//    so a slow resaturation never stalls session threads. With
-//    options.live_ingest=false the legacy engine_mu_ paths remain.
+//  * WRITES take one path and no lock: FACT and INGEST intern on the
+//    session thread and stage on the engine's bounded ingest queue
+//    (Engine::EnqueueFact); an ivm::Republisher thread — the engine's
+//    only mutator while the server runs — publishes at a
+//    cadence/threshold (Engine::PublishSnapshot moves the staged facts
+//    into the EDB and snapshots it) and swaps the served snapshot.
+//    PUBLISH forces one such cycle. Nothing the server answers reads
+//    the engine's model, so no write re-saturates it. PREPARE takes no
+//    lock either: it only reads the (immutable while serving) program
+//    and interns through shared_mutex-guarded tables, so a slow publish
+//    never stalls session threads.
 //  * Per-request deadlines (session DEADLINE verb or the configured
 //    default) map onto the engine's own time budget
 //    (eval::EvalLimits::max_millis), so a deadline cuts the fixpoint
@@ -36,8 +37,10 @@
 //
 // Thread-safety: Start/Shutdown/Wait are for the owning thread;
 // stats() reads are safe from anywhere, any time. The Engine must not
-// be mutated externally while the server runs (the server owns its
-// mutation mutex).
+// be mutated externally while the server runs (its Republisher thread
+// is the only mutator). The engine's model holds the fixpoint as of the
+// last Evaluate or DrainIngest; after Wait, DrainIngest catches it up
+// with everything the server ingested.
 //
 // tools/seqlog_serve.cc wraps this class in a binary; docs/SERVING.md
 // documents protocol and operational semantics.
@@ -80,14 +83,11 @@ struct ServerOptions {
   uint64_t default_deadline_ms = 0;
   /// Evaluation options for EXEC/BATCH runs (strategy, budgets).
   eval::EvalOptions eval;
-  /// Live ingest: when true (default) the server runs an
-  /// ivm::Republisher that owns all engine mutations — FACT/INGEST
-  /// stage on the ingest queue lock-free and snapshots republish on a
-  /// cadence. When false, FACT/PUBLISH serialise on the engine mutex
-  /// (the pre-IVM behaviour; facts are only visible after PUBLISH).
+  /// Ignored: the server has one write path. Kept so existing callers
+  /// that set it still compile.
   bool live_ingest = true;
-  /// Republisher knobs (cadence, drain threshold); the eval options for
-  /// resaturation runs are taken from `eval` above.
+  /// Republisher knobs: publish at least this often while facts are
+  /// staged, and early once this many are.
   uint64_t ingest_cadence_ms = 25;
   size_t ingest_threshold = 256;
 };
@@ -103,8 +103,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens, publishes the initial snapshot and spawns the
-  /// acceptor + session threads. kFailedPrecondition when already
-  /// started; kInternal on socket errors.
+  /// acceptor, session and republisher threads. kFailedPrecondition
+  /// when already started; kInternal on socket errors.
   Status Start();
 
   /// The bound port (after Start; useful with options.port == 0).
@@ -178,17 +178,13 @@ class Server {
   std::condition_variable queue_cv_;
   std::deque<PendingConn> queue_;
 
-  /// Serialises engine mutations on the legacy (live_ingest=false)
-  /// FACT/PUBLISH paths. Execution paths never take it — they read
-  /// pinned snapshots — and with live ingest on, nothing takes it: the
-  /// Republisher thread is the engine's only mutator.
-  std::mutex engine_mu_;
-  /// Drains the ingest queue, re-saturates, republishes (live ingest).
-  std::unique_ptr<ivm::Republisher> republisher_;
   std::shared_mutex stmts_mu_;
   std::map<std::string, std::shared_ptr<PreparedQuery>> statements_;
   std::shared_mutex snapshot_mu_;
   Snapshot current_;
+  /// Moves staged facts into the EDB and swaps current_ (declared after
+  /// what its hook touches).
+  ivm::Republisher republisher_;
 };
 
 }  // namespace serve

@@ -128,4 +128,20 @@ std::vector<PredId> Database::PredicatesWithRelations() const {
   return out;
 }
 
+void Database::ForEachRowPast(
+    Watermark* watermark,
+    const std::function<void(PredId, TupleView)>& fn) const {
+  if (watermark->size() < relations_.size()) {
+    watermark->resize(relations_.size(), 0);
+  }
+  for (PredId pred = 0; pred < relations_.size(); ++pred) {
+    const Relation* rel = relations_[pred].get();
+    if (rel == nullptr) continue;
+    for (uint32_t i = (*watermark)[pred]; fn && i < rel->size(); ++i) {
+      fn(pred, rel->RowAt(i));
+    }
+    (*watermark)[pred] = static_cast<uint32_t>(rel->size());
+  }
+}
+
 }  // namespace seqlog

@@ -82,6 +82,19 @@ class Database {
   /// Ids of predicates that have a (possibly empty) relation.
   std::vector<PredId> PredicatesWithRelations() const;
 
+  /// Per-relation row counts, indexed by PredId: a position in a
+  /// database that only grows. A relation never moves or drops a row,
+  /// so the rows past a watermark are exactly those inserted since it
+  /// was taken (Engine::ClearFacts replaces the database instead).
+  using Watermark = std::vector<uint32_t>;
+
+  /// Calls `fn(pred, row)` for every row past `*watermark`, in
+  /// predicate-id then scan order, and advances `*watermark` to the end
+  /// of every relation. A null `fn` only advances the watermark.
+  void ForEachRowPast(
+      Watermark* watermark,
+      const std::function<void(PredId, TupleView)>& fn) const;
+
  private:
   Catalog* catalog_;
   std::vector<std::unique_ptr<Relation>> relations_;

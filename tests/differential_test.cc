@@ -63,13 +63,17 @@ struct Lit {
 ///   kWindows     p(W) :- e1(X), W = X[I:J].    membership
 ///   kExtensions  p(X) :- e1(X[2:end]).         a length bucket
 ///   kDomain      p(X) :- true.                 full enumeration
-enum class Shape { kPlain, kConcat, kSuffixes, kWindows, kExtensions, kDomain };
+///   kMember      p(X) :- X = c.                membership of a constant
+enum class Shape {
+  kPlain, kConcat, kSuffixes, kWindows, kExtensions, kDomain, kMember
+};
 
 struct Rule {
   int head_pred;
   std::vector<int> head_vars;
   Shape shape = Shape::kPlain;  // kConcat: head is name(v0 ++ v1)
   std::vector<Lit> body;        // the predicates the rule reads
+  std::string constant = "";    // kMember: the sequence c
 };
 
 struct GenProgram {
@@ -204,6 +208,17 @@ GenProgram Generate(uint64_t seed) {
     const int q = new_pred(1);
     prog.rules.push_back(Rule{q, {0}, Shape::kPlain, {Lit{d, {0}}}});
   }
+  // A constant-membership rule, last and from a fourth stream. Its
+  // constant is mostly longer than any fact, so it is a member only when
+  // a constructive rule builds a sequence that contains it.
+  std::mt19937_64 member_rng(seed ^ 0xe5e5e5e5e5e5e5e5u);
+  if ((member_rng() & 1) != 0) {
+    std::uniform_int_distribution<int> len_dist(2, 6);
+    std::string constant(len_dist(member_rng), 'a');
+    for (char& c : constant) c = (member_rng() & 1) ? 'b' : 'a';
+    prog.rules.push_back(
+        Rule{new_pred(1), {0}, Shape::kMember, {}, std::move(constant)});
+  }
   return prog;
 }
 
@@ -226,6 +241,11 @@ std::string RenderProgram(const GenProgram& prog) {
         continue;
       case Shape::kDomain:
         out += "(X) :- true.\n";
+        continue;
+      case Shape::kMember:
+        out += "(X) :- X = ";
+        out += rule.constant;
+        out += ".\n";
         continue;
     }
     out += '(';
@@ -330,6 +350,9 @@ void RefDomainRule(const Rule& rule, const RefModel& model,
       break;
     case Shape::kDomain:
       for (const std::string& x : domain.seqs) out->insert({x});
+      break;
+    case Shape::kMember:
+      if (domain.seqs.count(rule.constant) > 0) out->insert({rule.constant});
       break;
     case Shape::kPlain:
     case Shape::kConcat:

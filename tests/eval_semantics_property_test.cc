@@ -43,6 +43,14 @@ const Corpus kCorpus[] = {
      "q(X[2:end-1]) :- p(X).\n",
      {"p", "q"},
      true},
+    // p reads the domain by membership only: zz, which no r fact
+    // contains, becomes a member once c builds X ++ zz, and a
+    // semi-naive round sees that only by re-firing p in full.
+    {"membership_after_growth",
+     "c(X ++ zz) :- r(X).\n"
+     "p(X) :- X = zz.\n",
+     {"c", "p"},
+     true},
 };
 
 class StrategyAgreement : public ::testing::TestWithParam<Corpus> {};

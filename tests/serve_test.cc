@@ -237,12 +237,12 @@ TEST_F(ServeTest, ErrorsCarryStableCodes) {
 }
 
 TEST_F(ServeTest, RequestsPinTheLatestPublishedSnapshot) {
-  // Legacy write path (live_ingest off): FACT mutates the engine inline
-  // and visibility is gated on an explicit PUBLISH — the deterministic
-  // form of the snapshot-pinning contract (with live ingest on, the
-  // republisher may publish between the two EXECs on its own cadence).
+  // Neither the cadence nor the threshold can publish during the test,
+  // so visibility is gated on an explicit PUBLISH — the deterministic
+  // form of the snapshot-pinning contract.
   ServerOptions options;
-  options.live_ingest = false;
+  options.ingest_cadence_ms = 60'000;
+  options.ingest_threshold = 1000;
   StartServer(options);
   TextClient client = Connect();
   ASSERT_TRUE(client.Roundtrip("PREPARE q ?- suffix($1).")->ok());
@@ -250,7 +250,7 @@ TEST_F(ServeTest, RequestsPinTheLatestPublishedSnapshot) {
   // Not yet a suffix of anything.
   EXPECT_TRUE(client.Roundtrip("EXEC q zzz")->body.empty());
 
-  // FACT alone mutates the live EDB, not the served snapshot.
+  // FACT alone stages the fact; the served snapshot is unchanged.
   ASSERT_TRUE(client.Roundtrip("FACT r zzzz")->ok());
   EXPECT_TRUE(client.Roundtrip("EXEC q zzz")->body.empty());
 
@@ -276,8 +276,8 @@ TEST_F(ServeTest, LiveIngestStagesFactsAndPublishForcesTheDrain) {
   EXPECT_EQ(fact->header.rfind("OK fact queued depth=", 0), 0u)
       << fact->header;
 
-  // PUBLISH forces drain + resaturation + republish: the fact is
-  // visible afterwards, deterministically.
+  // PUBLISH forces a publish: the fact is visible afterwards,
+  // deterministically.
   Result<Reply> published = client.Roundtrip("PUBLISH");
   ASSERT_TRUE(published.ok());
   ASSERT_TRUE(published->ok()) << published->header;
@@ -350,12 +350,11 @@ TEST_F(ServeTest, StatsReportIngestCounters) {
   Result<Reply> stats = client.Roundtrip("STATS");
   ASSERT_TRUE(stats.ok());
   ASSERT_TRUE(stats->ok());
-  bool saw_depth = false, saw_ingested = false, saw_rounds = false,
-       saw_staleness = false, saw_rate = false;
+  bool saw_depth = false, saw_ingested = false, saw_staleness = false,
+       saw_rate = false;
   for (const std::string& line : stats->body) {
     if (line.rfind("STAT ingest_queue_depth ", 0) == 0) saw_depth = true;
     if (line == "STAT ingested_facts 1") saw_ingested = true;
-    if (line.rfind("STAT resaturate_rounds ", 0) == 0) saw_rounds = true;
     if (line.rfind("STAT snapshot_staleness_ms ", 0) == 0) {
       saw_staleness = true;
     }
@@ -363,16 +362,15 @@ TEST_F(ServeTest, StatsReportIngestCounters) {
   }
   EXPECT_TRUE(saw_depth);
   EXPECT_TRUE(saw_ingested);
-  EXPECT_TRUE(saw_rounds);
   EXPECT_TRUE(saw_staleness);
   EXPECT_TRUE(saw_rate);
 }
 
-/// The PR 7 write-stall regression: a drain cycle chewing through a
-/// large staged batch must not block concurrent PREPARE/EXEC — reads
-/// pin snapshots and PREPARE takes no engine mutex, so sessions stay
-/// responsive while the republisher is mid-resaturation. A regression
-/// deadlocks or serialises here and trips the test timeout.
+/// The write-stall regression: a publish moving a large staged batch
+/// must not block concurrent PREPARE/EXEC — reads pin snapshots and
+/// PREPARE takes no lock, so sessions stay responsive while the
+/// republisher is mid-publish. A regression deadlocks or serialises
+/// here and trips the test timeout.
 TEST_F(ServeTest, SlowPublishDoesNotBlockConcurrentReads) {
   ServerOptions options;
   options.sessions = 4;
@@ -380,7 +378,7 @@ TEST_F(ServeTest, SlowPublishDoesNotBlockConcurrentReads) {
   {
     TextClient setup = Connect();
     ASSERT_TRUE(setup.Roundtrip("PREPARE q ?- suffix($1).")->ok());
-    // Stage a batch big enough that its resaturation does real work.
+    // Stage a batch big enough that its publish does real work.
     std::vector<std::string> lines;
     for (int i = 0; i < 400; ++i) {
       std::string value = "zz";
@@ -403,7 +401,7 @@ TEST_F(ServeTest, SlowPublishDoesNotBlockConcurrentReads) {
     }
     if (!writer.Roundtrip("PUBLISH")->ok()) failures.fetch_add(1);
   });
-  // While the forced drain runs, fresh PREPAREs and EXECs must keep
+  // While the forced publish runs, fresh PREPAREs and EXECs must keep
   // completing on other sessions.
   TextClient reader = Connect();
   for (int i = 0; i < 20; ++i) {

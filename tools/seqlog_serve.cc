@@ -8,11 +8,11 @@
 //   seqlog-serve --workload=genome --port=0 --sessions=4
 //     -> "seqlog-serve listening on 127.0.0.1:37103" (stdout, flushed)
 //
-// Live ingest is on by default: the workload is saturated once at
-// startup and a republisher thread drains FACT/INGEST writes at
-// --ingest-cadence-ms / --ingest-threshold, re-saturating the model
-// incrementally. --ivm=0 restores the legacy mutex-serialised write
-// path (facts visible only after PUBLISH).
+// FACT/INGEST writes stage on the engine's ingest queue; a republisher
+// thread moves them into the EDB and publishes a fresh snapshot every
+// --ingest-cadence-ms, or early at --ingest-threshold staged facts.
+// EXEC/BATCH answer from that snapshot, so the server never evaluates
+// the workload's full model.
 //
 // Protocol: docs/SERVING.md. Load generation: seqlog-loadgen.
 #include <csignal>
@@ -46,7 +46,6 @@ int Usage() {
       "usage: seqlog-serve [--workload=genome|text|suffix] [--port=N]\n"
       "                    [--host=A.B.C.D] [--sessions=N]\n"
       "                    [--max-pending=N] [--deadline-ms=N]\n"
-      "                    [--ivm=0|1]\n"
       "                    [--ingest-cadence-ms=N]\n"
       "                    [--ingest-threshold=N]\n");
   return 2;
@@ -74,8 +73,6 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--deadline-ms", &value)) {
       options.default_deadline_ms =
           static_cast<uint64_t>(std::atoll(value));
-    } else if (FlagValue(argv[i], "--ivm", &value)) {
-      options.live_ingest = std::atoi(value) != 0;
     } else if (FlagValue(argv[i], "--ingest-cadence-ms", &value)) {
       options.ingest_cadence_ms = static_cast<uint64_t>(std::atoll(value));
     } else if (FlagValue(argv[i], "--ingest-threshold", &value)) {
@@ -92,17 +89,6 @@ int main(int argc, char** argv) {
                  status.ToString().c_str());
     return 1;
   }
-  if (options.live_ingest) {
-    // Saturate once up front so the republisher's drains run the cheap
-    // incremental path instead of falling back to cold recomputes.
-    eval::EvalOutcome warm = engine.Evaluate(options.eval);
-    if (!warm.status.ok()) {
-      std::fprintf(stderr, "seqlog-serve: initial evaluation failed: %s\n",
-                   warm.status.ToString().c_str());
-      return 1;
-    }
-  }
-
   serve::Server server(&engine, options);
   status = server.Start();
   if (!status.ok()) {

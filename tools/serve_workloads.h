@@ -81,7 +81,7 @@ inline const char* WorkloadWritePred(std::string_view name) {
 /// generator family as the setup facts but a disjoint per-writer seed
 /// space, so concurrent writers stage distinct facts (the genome/suffix
 /// spaces are large enough that collisions with the setup set are
-/// negligible; duplicates are dropped at the resaturation seed anyway).
+/// negligible; duplicates are dropped on insert into the EDB anyway).
 inline std::vector<std::string> WorkloadWriteValues(
     std::string_view name, unsigned writer, size_t count) {
   const unsigned seed = 1000003u + writer * 7919u;
