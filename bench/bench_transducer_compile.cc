@@ -19,8 +19,7 @@
 
 #include "bench_util.h"
 #include "sequence/sequence_pool.h"
-#include "transducer/determinize.h"
-#include "transducer/fuse.h"
+#include "transducer/compile.h"
 #include "transducer/genome.h"
 #include "transducer/network.h"
 
@@ -174,6 +173,19 @@ void BM_FusedMachine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FusedMachine)->Arg(300)->Arg(3000)->Arg(30000);
+
+// The compile path itself: one Network::Compile of the two-node genome
+// chain (grounding both machines plus the lockstep product), which the
+// shell pays at start-up for @rnapipe.
+void BM_CompileGenomeChain(benchmark::State& state) {
+  auto p = MakePipeline();
+  auto net = MakeNetwork(*p);
+  for (auto _ : state) {
+    if (!net->Compile(p->dna).ok()) std::abort();
+    benchmark::DoNotOptimize(net->compile_stats().states_out);
+  }
+}
+BENCHMARK(BM_CompileGenomeChain);
 
 }  // namespace
 

@@ -89,8 +89,8 @@ Status RegisterStandardMachines(Engine* engine) {
       reg(seqlog::transducer::MakeTranslate("translate", syms)));
   // The genome pipeline as a compiled network: @rnapipe(X) is
   // translate(transcribe(X)) fused into one deterministic machine
-  // (transducer/determinize.h, fuse.h); :stats shows the compile
-  // counters after a run that used it.
+  // (transducer/compile.h); :stats shows the compile counters after a
+  // run that used it.
   {
     auto transcribe = seqlog::transducer::MakeTranscribe("t", syms);
     auto translate = seqlog::transducer::MakeTranslate("tr", syms);
@@ -409,8 +409,8 @@ class Shell {
     if (t.compiled_node_runs + t.interpreted_node_runs > 0) {
       std::cout << "  transducers: " << t.machines_compiled
                 << " machine(s) compiled (" << t.states_in << " -> "
-                << t.states_out << " states, delay <= " << t.delay_bound
-                << "), " << t.fusion_hits << " fusion(s), "
+                << t.states_out << " states), " << t.fusion_hits
+                << " fusion(s), "
                 << t.fusion_fallbacks << " fallback(s)\n"
                 << "    node runs: " << t.compiled_node_runs
                 << " compiled, " << t.interpreted_node_runs

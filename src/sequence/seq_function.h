@@ -7,7 +7,6 @@
 #ifndef SEQLOG_SEQUENCE_SEQ_FUNCTION_H_
 #define SEQLOG_SEQUENCE_SEQ_FUNCTION_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -18,15 +17,14 @@
 namespace seqlog {
 
 /// Counters describing the compiled-machine backing of @T(...) terms
-/// (src/transducer/determinize.h, fuse.h, Network::Compile). Aggregated
+/// (src/transducer/compile.h, Network::Compile). Aggregated
 /// over a FunctionRegistry into EvalStats::transducer and shown by the
 /// shell's :stats. The *_runs counters are cumulative over the function's
 /// lifetime, not per evaluation.
 struct TransducerStats {
   size_t machines_compiled = 0;  ///< deterministic machines backing terms
-  size_t states_in = 0;          ///< NFA states before determinization
+  size_t states_in = 0;          ///< states of the machines lowered
   size_t states_out = 0;         ///< dense DetTransducer states after
-  size_t delay_bound = 0;        ///< max output delay over all machines
   size_t fusion_hits = 0;        ///< network chains fused into one machine
   size_t fusion_fallbacks = 0;   ///< chains refused (node-by-node fallback)
   size_t compiled_nodes = 0;     ///< network nodes backed by a DetTransducer
@@ -38,7 +36,6 @@ struct TransducerStats {
     machines_compiled += o.machines_compiled;
     states_in += o.states_in;
     states_out += o.states_out;
-    delay_bound = std::max(delay_bound, o.delay_bound);
     fusion_hits += o.fusion_hits;
     fusion_fallbacks += o.fusion_fallbacks;
     compiled_nodes += o.compiled_nodes;

@@ -216,10 +216,9 @@ Status TransducerNetwork::Compile(std::span<const Symbol> alphabet,
         if (chain_alpha == nullptr) {
           ++compile_stats_.fusion_fallbacks;
         } else {
-          FuseStats fstats;
           Result<std::shared_ptr<const DetTransducer>> fused =
               FuseChain(*node.machine, *nodes_[consumer].machine,
-                        *chain_alpha, options.fuse, &fstats, report);
+                        *chain_alpha, report);
           if (fused.ok()) {
             plan[ni].mode = PlanNode::Mode::kFusedAway;
             plan[consumer].mode = PlanNode::Mode::kCompiled;
@@ -240,8 +239,8 @@ Status TransducerNetwork::Compile(std::span<const Symbol> alphabet,
     if (node.inputs.size() == 1) {
       const std::vector<Symbol>* in_alpha = source_alpha(node.inputs[0]);
       if (in_alpha != nullptr) {
-        Result<std::shared_ptr<const DetTransducer>> det = CompileSingle(
-            *node.machine, *in_alpha, options.determinize, nullptr, report);
+        Result<std::shared_ptr<const DetTransducer>> det =
+            CompileSingle(*node.machine, *in_alpha, report);
         if (det.ok()) {
           plan[ni].mode = PlanNode::Mode::kCompiled;
           plan[ni].det = det.value();

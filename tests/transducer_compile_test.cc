@@ -1,16 +1,15 @@
-// Decision-procedure tests for the transducer compilation layer
-// (src/transducer/determinize.h, fuse.h, Network::Compile):
+// Tests for the transducer lowering (src/transducer/compile.h,
+// Network::Compile):
 //
-//  - machines the procedures refuse carry the stable SL-E20x codes
-//    (SL-E200 shape, SL-E201 not functional, SL-E202 not sequential,
-//    SL-E203 state budget, SL-E204/205 fusion refusals), both in the
-//    Status message and as coded Diagnostics when a report is passed;
-//  - functional-but-not-sequential machines (expressible in the general
-//    NfaTransducer IR: distinct final words keep diverging branches
-//    alive) hit the bounded-delay / twinning cutoff;
+//  - machines the lowering refuses carry the stable SL-E20x codes
+//    (SL-E200 shape, SL-E203 state budget, SL-E204 fusion shape), both
+//    in the Status message and as coded Diagnostics when a report is
+//    passed, and a network falls back to the interpreted run on each;
+//  - an alphabet holding the marker or an out-of-range symbol is an
+//    invalid argument on every entry point;
 //  - the paper's library machines round-trip: genome transcription
-//    determinizes and fuses with translation unchanged in semantics,
-//    and kReverse (order 2) is refused but the containing network still
+//    compiles and fuses with translation unchanged in semantics, and
+//    kReverse (order 2) is refused but the containing network still
 //    answers identically through the interpreted fallback.
 #include <gtest/gtest.h>
 
@@ -20,12 +19,10 @@
 #include "sequence/sequence_pool.h"
 #include "sequence/symbol_table.h"
 #include "transducer/builder.h"
-#include "transducer/determinize.h"
-#include "transducer/fuse.h"
+#include "transducer/compile.h"
 #include "transducer/genome.h"
 #include "transducer/library.h"
 #include "transducer/network.h"
-#include "transducer/nondet.h"
 
 namespace seqlog {
 namespace transducer {
@@ -62,109 +59,19 @@ class TransducerCompileTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------
-// Determinization of Definition-7 machines.
+// Refusals and invalid arguments.
 // ---------------------------------------------------------------------
 
-TEST_F(TransducerCompileTest, DeterminizesStateNondeterminism) {
-  // Two echoing branches from the start state that only differ in their
-  // future partiality: q1 accepts a*, q2 accepts ab*. Functional (all
-  // surviving runs echo), but genuinely nondeterministic in states.
-  const Symbol a = Sym("a");
-  const Symbol b = Sym("b");
-  NondetBuilder builder("branchy", 1);
-  StateId q0 = builder.State("q0");
-  StateId q1 = builder.State("q1");
-  StateId q2 = builder.State("q2");
-  builder.SetInitial(q0);
-  builder.Add(q0, {SymPattern::Exact(a)}, q1, {HeadMove::kAdvance},
-              NdOutput::Echo(0));
-  builder.Add(q0, {SymPattern::Exact(a)}, q2, {HeadMove::kAdvance},
-              NdOutput::Echo(0));
-  builder.Add(q1, {SymPattern::Exact(a)}, q1, {HeadMove::kAdvance},
-              NdOutput::Echo(0));
-  builder.Add(q2, {SymPattern::Exact(b)}, q2, {HeadMove::kAdvance},
-              NdOutput::Echo(0));
-  auto machine = builder.Build();
-  ASSERT_TRUE(machine.ok());
-
-  DeterminizeStats stats;
-  auto det = DeterminizeMachine(*machine.value(), Alpha("ab"), {}, &stats);
-  ASSERT_TRUE(det.ok()) << det.status().message();
-  EXPECT_EQ(stats.states_in, 3u);
-  EXPECT_GE(stats.states_out, 2u);
-
-  // Semantics agree with the breadth-first reference on a few inputs.
-  for (std::string_view input : {"", "a", "aa", "ab", "abb", "aab", "b"}) {
-    SeqId x = Seq(input);
-    auto ref = machine.value()->RunAll(std::span<const SeqId>(&x, 1),
-                                       &pool_);
-    ASSERT_TRUE(ref.ok());
-    auto got = det.value()->Apply(std::span<const SeqId>(&x, 1), &pool_);
-    if (ref.value().empty()) {
-      EXPECT_FALSE(got.ok()) << "input " << input;
-    } else {
-      ASSERT_EQ(ref.value().size(), 1u) << "input " << input;
-      ASSERT_TRUE(got.ok()) << "input " << input;
-      EXPECT_EQ(got.value(), ref.value()[0]) << "input " << input;
-    }
-  }
-}
-
-TEST_F(TransducerCompileTest, RefusesNonFunctionalWithStableCode) {
-  // One input symbol, two outputs: classic guess machine.
-  const Symbol a = Sym("a");
-  const Symbol x = Sym("x");
-  const Symbol y = Sym("y");
-  NondetBuilder builder("guess", 1);
-  StateId q0 = builder.State("q0");
-  builder.SetInitial(q0);
-  builder.Add(q0, {SymPattern::Exact(a)}, q0, {HeadMove::kAdvance},
-              NdOutput::Emit(x));
-  builder.Add(q0, {SymPattern::Exact(a)}, q0, {HeadMove::kAdvance},
-              NdOutput::Emit(y));
-  auto machine = builder.Build();
-  ASSERT_TRUE(machine.ok());
-
-  analysis::DiagnosticReport report;
-  auto det =
-      DeterminizeMachine(*machine.value(), Alpha("a"), {}, nullptr, &report);
-  ASSERT_FALSE(det.ok());
-  EXPECT_TRUE(HasCode(det.status(), kCodeNotFunctional))
-      << det.status().message();
-  EXPECT_TRUE(ReportHasCode(report, kCodeNotFunctional));
-}
-
-TEST_F(TransducerCompileTest, RefusesCopyOrSkipScatterAsNonFunctional) {
-  // Every symbol is either copied or skipped: 2^n outputs per input.
-  const Symbol a = Sym("a");
-  NondetBuilder builder("scatter", 1);
-  StateId q0 = builder.State("q0");
-  builder.SetInitial(q0);
-  builder.Add(q0, {SymPattern::Any()}, q0, {HeadMove::kAdvance},
-              NdOutput::Echo(0));
-  builder.Add(q0, {SymPattern::Any()}, q0, {HeadMove::kAdvance},
-              NdOutput::Epsilon());
-  auto machine = builder.Build();
-  ASSERT_TRUE(machine.ok());
-  (void)a;
-
-  auto det = DeterminizeMachine(*machine.value(), Alpha("a"));
-  ASSERT_FALSE(det.ok());
-  EXPECT_TRUE(HasCode(det.status(), kCodeNotFunctional))
-      << det.status().message();
-}
-
 TEST_F(TransducerCompileTest, RefusesUnsupportedShapes) {
-  // Multi-input and order-2 machines are out of scope for the subset
-  // construction (SL-E200), as are fusions over them (SL-E204).
+  // Only single-input order-1 machines lower (SL-E200).
   auto append = MakeAppend("app", 2);
   ASSERT_TRUE(append.ok());
-  auto lifted = LiftDeterministic(*append.value(), Alpha("ab"));
-  ASSERT_TRUE(lifted.ok());
-  auto det = DeterminizeMachine(*lifted.value(), Alpha("ab"));
+  analysis::DiagnosticReport report;
+  auto det = CompileSingle(*append.value(), Alpha("ab"), &report);
   ASSERT_FALSE(det.ok());
   EXPECT_TRUE(HasCode(det.status(), kCodeUnsupportedShape))
       << det.status().message();
+  EXPECT_TRUE(ReportHasCode(report, kCodeUnsupportedShape));
 
   auto reverse = MakeReverse("rev", Alpha("ab"));
   ASSERT_TRUE(reverse.ok());
@@ -174,131 +81,93 @@ TEST_F(TransducerCompileTest, RefusesUnsupportedShapes) {
       << single.status().message();
 }
 
-TEST_F(TransducerCompileTest, StateBudgetRefusalHasStableCode) {
-  // "a on the 3rd-from-last position": the subsets track every suffix
-  // window, blowing up past a tiny budget. All-echo outputs keep the
-  // machine functional, so the refusal is the budget, nothing else.
-  const Symbol a = Sym("a");
-  const Symbol b = Sym("b");
-  NondetBuilder builder("suffix3", 1);
-  StateId q0 = builder.State("q0");
-  StateId q1 = builder.State("q1");
-  StateId q2 = builder.State("q2");
-  StateId q3 = builder.State("q3");
-  builder.SetInitial(q0);
-  for (Symbol s : {a, b}) {
-    builder.Add(q0, {SymPattern::Exact(s)}, q0, {HeadMove::kAdvance},
-                NdOutput::Echo(0));
+// q0 -a/a-> q1 -a/a-> ... -a/a-> q(n-1) -a/a-> q0: echoes its input and
+// counts it mod n.
+TransducerPtr EchoCounter(const std::string& name, Symbol a, size_t n) {
+  TransducerBuilder builder(name, 1);
+  std::vector<StateId> states;
+  for (size_t i = 0; i < n; ++i) {
+    std::string state = "q";
+    state += std::to_string(i);
+    states.push_back(builder.State(state));
   }
-  builder.Add(q0, {SymPattern::Exact(a)}, q1, {HeadMove::kAdvance},
-              NdOutput::Echo(0));
-  for (Symbol s : {a, b}) {
-    builder.Add(q1, {SymPattern::Exact(s)}, q2, {HeadMove::kAdvance},
-                NdOutput::Echo(0));
-    builder.Add(q2, {SymPattern::Exact(s)}, q3, {HeadMove::kAdvance},
-                NdOutput::Echo(0));
+  for (size_t i = 0; i < n; ++i) {
+    builder.Add(states[i], {SymPattern::Exact(a)}, states[(i + 1) % n],
+                {HeadMove::kAdvance}, Output::Echo(0));
   }
   auto machine = builder.Build();
-  ASSERT_TRUE(machine.ok());
+  EXPECT_TRUE(machine.ok()) << machine.status().message();
+  return machine.value();
+}
 
-  DeterminizeOptions tight;
-  tight.max_states = 4;
+TEST_F(TransducerCompileTest, StateBudgetRefusalHasStableCode) {
+  // Coprime counters in lockstep reach every pair of states: 128 x 127
+  // pairs fit the product budget, 131 x 127 do not.
+  const Symbol a = Sym("a");
+  static_assert(128 * 127 <= kMaxProductStates);
+  static_assert(131 * 127 > kMaxProductStates);
+  TransducerPtr mod127 = EchoCounter("mod127", a, 127);
+  TransducerPtr mod128 = EchoCounter("mod128", a, 128);
+  TransducerPtr mod131 = EchoCounter("mod131", a, 131);
+
+  auto fits = FuseChain(*mod128, *mod127, Alpha("a"));
+  ASSERT_TRUE(fits.ok()) << fits.status().message();
+  EXPECT_EQ(fits.value()->num_states(), 128u * 127u);
+
   analysis::DiagnosticReport report;
-  auto det = DeterminizeMachine(*machine.value(), Alpha("ab"), tight,
-                                nullptr, &report);
-  ASSERT_FALSE(det.ok());
-  EXPECT_TRUE(HasCode(det.status(), kCodeStateBudget))
-      << det.status().message();
+  auto refused = FuseChain(*mod131, *mod127, Alpha("a"), &report);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(HasCode(refused.status(), kCodeStateBudget))
+      << refused.status().message();
   EXPECT_TRUE(ReportHasCode(report, kCodeStateBudget));
 
-  // With a real budget the same machine determinizes fine.
-  auto ok = DeterminizeMachine(*machine.value(), Alpha("ab"));
-  EXPECT_TRUE(ok.ok()) << ok.status().message();
+  // The network keeps the chain apart and compiles each counter alone.
+  TransducerNetwork net("counters", 1);
+  auto n0 = net.AddNode(mod131, {InputSource::FromNetwork(0)});
+  ASSERT_TRUE(n0.ok());
+  auto n1 = net.AddNode(mod127, {InputSource::FromNode(*n0)});
+  ASSERT_TRUE(n1.ok());
+  ASSERT_TRUE(net.SetOutput(*n1).ok());
+  ASSERT_TRUE(net.Compile(Alpha("a")).ok());
+  EXPECT_EQ(net.compile_stats().fusion_hits, 0u);
+  EXPECT_EQ(net.compile_stats().fusion_fallbacks, 1u);
+  EXPECT_EQ(net.compile_stats().compiled_nodes, 2u);
+  SeqId x = Seq("aaaa");
+  auto out = net.Apply(std::span<const SeqId>(&x, 1), &pool_);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out.value(), x);
+}
+
+TEST_F(TransducerCompileTest, RejectsOutOfRangeAlphabetSymbols) {
+  // The marker cannot be an input symbol, and symbols from 2^20 on are
+  // past the dense symbol index: every entry point says so up front.
+  auto transcribe = MakeTranscribe("transcribe", &symbols_);
+  auto translate = MakeTranslate("translate", &symbols_);
+  ASSERT_TRUE(transcribe.ok() && translate.ok());
+  for (Symbol bad : {kEndMarker, Symbol{1u << 20}}) {
+    std::vector<Symbol> alphabet = Alpha("acgt");
+    alphabet.push_back(bad);
+
+    auto single = CompileSingle(*transcribe.value(), alphabet);
+    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument)
+        << "symbol " << bad;
+    auto fused = FuseChain(*transcribe.value(), *translate.value(), alphabet);
+    EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument)
+        << "symbol " << bad;
+
+    TransducerNetwork net("rnapipe", 1);
+    auto n0 = net.AddNode(transcribe.value(), {InputSource::FromNetwork(0)});
+    ASSERT_TRUE(n0.ok());
+    auto n1 = net.AddNode(translate.value(), {InputSource::FromNode(*n0)});
+    ASSERT_TRUE(n1.ok());
+    ASSERT_TRUE(net.SetOutput(*n1).ok());
+    EXPECT_EQ(net.Compile(alphabet).code(), StatusCode::kInvalidArgument)
+        << "symbol " << bad;
+  }
 }
 
 // ---------------------------------------------------------------------
-// The general IR: functional-but-not-sequential machines.
-// ---------------------------------------------------------------------
-
-// T(a^n b) = x^(n+1), T(a^n c) = y^(n+1): functional, but the two
-// branches' outputs diverge unboundedly before the last symbol decides —
-// the textbook twinning-property violation. (Definition-7 machines
-// cannot express this: their prefix-closed, all-states-final semantics
-// makes every functional machine sequential, which is why this lives in
-// the NfaTransducer IR.)
-NfaTransducer DivergingBranches(Symbol a, Symbol b, Symbol c, Symbol x,
-                                Symbol y) {
-  NfaTransducer nfa;
-  nfa.name = "diverge";
-  nfa.num_states = 4;  // 0 = start, 1 = x-branch, 2 = y-branch, 3 = final
-  nfa.initial = 0;
-  nfa.alphabet = {a, b, c};
-  nfa.final_out.assign(4, std::nullopt);
-  nfa.final_out[3] = std::vector<Symbol>{};
-  nfa.rows = {
-      {0, a, 1, {x}}, {0, a, 2, {y}},  // guess the branch
-      {1, a, 1, {x}}, {2, a, 2, {y}},  // keep diverging
-      {1, b, 3, {x}}, {2, c, 3, {y}},  // resolved only at the end
-  };
-  return nfa;
-}
-
-TEST_F(TransducerCompileTest, FunctionalButNotSequentialHitsDelayCutoff) {
-  NfaTransducer nfa = DivergingBranches(Sym("a"), Sym("b"), Sym("c"),
-                                        Sym("x"), Sym("y"));
-  DeterminizeOptions options;
-  options.max_delay = 8;
-  analysis::DiagnosticReport report;
-  auto det = Determinize(nfa, options, nullptr, &report);
-  ASSERT_FALSE(det.ok());
-  EXPECT_TRUE(HasCode(det.status(), kCodeNotSequential))
-      << det.status().message();
-  EXPECT_TRUE(ReportHasCode(report, kCodeNotSequential));
-}
-
-TEST_F(TransducerCompileTest, DelayWithinBoundDeterminizesWithFinalWords) {
-  // Same shape, but the diverging run is cut off after one step by
-  // making state 2 a dead end: trimming removes it and the remaining
-  // machine is sequential with a one-symbol delay resolved by final
-  // words. Checks the Mohri residual machinery end to end.
-  const Symbol a = Sym("a");
-  const Symbol b = Sym("b");
-  const Symbol x = Sym("x");
-  const Symbol y = Sym("y");
-  NfaTransducer nfa;
-  nfa.name = "delayed";
-  nfa.num_states = 4;
-  nfa.initial = 0;
-  nfa.alphabet = {a, b};
-  nfa.final_out.assign(4, std::nullopt);
-  nfa.final_out[1] = std::vector<Symbol>{};
-  nfa.final_out[3] = std::vector<Symbol>{};
-  // On a: branch to 1 emitting x (final), or to 2 emitting y (not
-  // final); 2 only reaches the final state 3 through a b (emitting
-  // nothing). T(a) = x, T(ab) = y: the x-vs-y choice is delayed one
-  // step and resolved by the determinized state's final word.
-  nfa.rows = {
-      {0, a, 1, {x}},
-      {0, a, 2, {y}},
-      {2, b, 3, {}},
-  };
-  DeterminizeStats stats;
-  auto det = Determinize(nfa, {}, &stats);
-  ASSERT_TRUE(det.ok()) << det.status().message();
-  EXPECT_GE(stats.max_delay, 1u);
-  EXPECT_EQ(det.value()->delay_bound(), stats.max_delay);
-
-  std::vector<Symbol> out;
-  ASSERT_TRUE(det.value()->Transduce(std::vector<Symbol>{a}, &out));
-  EXPECT_EQ(out, std::vector<Symbol>{x});
-  ASSERT_TRUE(det.value()->Transduce(std::vector<Symbol>{a, b}, &out));
-  EXPECT_EQ(out, std::vector<Symbol>{y});
-  EXPECT_FALSE(det.value()->Transduce(std::vector<Symbol>{b}, &out));
-  EXPECT_FALSE(det.value()->Transduce(std::vector<Symbol>{a, a}, &out));
-}
-
-// ---------------------------------------------------------------------
-// Library machines round-trip through determinize/fuse.
+// Library machines round-trip through CompileSingle/FuseChain.
 // ---------------------------------------------------------------------
 
 TEST_F(TransducerCompileTest, TranscriptionCompilesUnchanged) {
@@ -329,15 +198,12 @@ TEST_F(TransducerCompileTest, GenomePipelineFusesUnchanged) {
   auto translate = MakeTranslate("translate", &symbols_);
   ASSERT_TRUE(transcribe.ok() && translate.ok());
 
-  FuseStats stats;
-  auto fused = FuseChain(*transcribe.value(), *translate.value(),
-                         Alpha("acgt"), {}, &stats);
+  auto fused =
+      FuseChain(*transcribe.value(), *translate.value(), Alpha("acgt"));
   ASSERT_TRUE(fused.ok()) << fused.status().message();
-  EXPECT_GT(stats.states_out, 0u);
-  EXPECT_GT(stats.verified_inputs, 0u);
+  EXPECT_GT(fused.value()->num_states(), 0u);
 
-  // Fused protein == translate(transcribe(dna)) well beyond the lengths
-  // the in-fusion equivalence check replayed.
+  // Fused protein == translate(transcribe(dna)).
   for (std::string_view dna :
        {"", "ta", "tac", "tacgtt", "tacgttacgtacgttacgtacgtacgtacg"}) {
     SeqId x = Seq(dna);
@@ -364,7 +230,7 @@ TEST_F(TransducerCompileTest, FusionRefusesOrder2WithStableCode) {
   ASSERT_TRUE(transcribe.ok() && reverse.ok());
   analysis::DiagnosticReport report;
   auto fused = FuseChain(*transcribe.value(), *reverse.value(),
-                         Alpha("acgt"), {}, nullptr, &report);
+                         Alpha("acgt"), &report);
   ASSERT_FALSE(fused.ok());
   EXPECT_TRUE(HasCode(fused.status(), kCodeFusionUnsupported))
       << fused.status().message();

@@ -1,17 +1,16 @@
-// Randomized differential testing of the transducer compilation layer
-// (PR 10 satellite): a seed-reproducible generator emits small random
-// NondetTransducers; machines the decision procedure accepts must agree
-// with the breadth-first RunAll reference — exhaustively on every input
-// up to length 8 (length 6 for 3-symbol alphabets) and on random longer
-// inputs — while refusals must carry a stable SL-E20x code and never
-// contradict a witnessed single-valued machine. A second corpus builds
-// random deterministic two-node networks and checks the compiled/fused
-// run against the interpreted run and against manual composition, and a
-// corpus prefix runs a compiled network through the full engine.
+// Randomized differential testing of the transducer lowering: a
+// seed-reproducible generator builds random deterministic two-node
+// networks and checks the compiled/fused run against the interpreted
+// run and against manual composition — the oracle for the lockstep
+// product (compile.h), which no run-time check replays. Library-shaped
+// machines (one state: identity, symbol maps, erasures) cover grounding
+// and alphabets; random machines with up to six states cover how the
+// product tracks both machines' states. A corpus prefix runs a compiled
+// network through the full engine.
 //
 // Flags (also usable for CI soak runs, .github/workflows/soak.yml):
 //   --seed=N    base seed of the corpus (default: fixed corpus)
-//   --iters=N   number of generated machines (default 200)
+//   --iters=N   number of generated networks (default 200)
 // Environment:
 //   SEQLOG_TDIFF_SEED / SEQLOG_TDIFF_ITERS  same as the flags
 //   SEQLOG_TDIFF_SEED_LOG  file to append failing seeds to (CI uploads
@@ -33,10 +32,9 @@
 #include "core/engine.h"
 #include "sequence/sequence_pool.h"
 #include "sequence/symbol_table.h"
-#include "transducer/determinize.h"
+#include "transducer/builder.h"
 #include "transducer/library.h"
 #include "transducer/network.h"
-#include "transducer/nondet.h"
 
 namespace seqlog {
 namespace transducer {
@@ -52,67 +50,6 @@ void LogFailingSeed(uint64_t seed) {
     std::fprintf(f, "%llu\n", static_cast<unsigned long long>(seed));
     std::fclose(f);
   }
-}
-
-// ---------------------------------------------------------------------
-// Machine generator. Two regimes per seed:
-//  - echo-only: every transition echoes its scanned symbol, so every
-//    surviving run outputs the input itself — functional by
-//    construction, the determinizer must accept (budget aside);
-//  - mixed: transitions echo, emit a random symbol, or stay silent —
-//    usually non-functional, exercising the refusal paths.
-// ---------------------------------------------------------------------
-
-std::shared_ptr<const NondetTransducer> RandomMachine(
-    std::mt19937_64* rng, const std::vector<Symbol>& alphabet,
-    bool echo_only) {
-  std::uniform_int_distribution<int> state_count(1, 4);
-  const int n = state_count(*rng);
-  NondetBuilder builder("gen", 1);
-  std::vector<StateId> states;
-  states.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    // Appended rather than `"q" + std::to_string(i)`: GCC 12 raises a
-    // -Wrestrict false positive on that form (GCC bug 105329).
-    std::string name = "q";
-    name += std::to_string(i);
-    states.push_back(builder.State(name));
-  }
-  builder.SetInitial(states[0]);
-  std::uniform_int_distribution<int> row_count(0, 2);
-  std::uniform_int_distribution<size_t> state_pick(
-      0, static_cast<size_t>(n) - 1);
-  std::uniform_int_distribution<size_t> sym_pick(0, alphabet.size() - 1);
-  std::uniform_int_distribution<int> out_pick(0, 3);
-  auto random_output = [&]() {
-    if (echo_only) return NdOutput::Echo(0);
-    switch (out_pick(*rng)) {
-      case 0:
-        return NdOutput::Epsilon();
-      case 1:
-        return NdOutput::Emit(alphabet[sym_pick(*rng)]);
-      default:
-        return NdOutput::Echo(0);  // weighted toward echo
-    }
-  };
-  for (int s = 0; s < n; ++s) {
-    for (Symbol sym : alphabet) {
-      const int rows = row_count(*rng);
-      for (int r = 0; r < rows; ++r) {
-        builder.Add(states[s], {SymPattern::Exact(sym)},
-                    states[state_pick(*rng)], {HeadMove::kAdvance},
-                    random_output());
-      }
-    }
-    // Occasionally an Any row, overlapping the exact rows above.
-    if ((*rng)() % 4 == 0) {
-      builder.Add(states[s], {SymPattern::Any()}, states[state_pick(*rng)],
-                  {HeadMove::kAdvance}, random_output());
-    }
-  }
-  auto machine = builder.Build();
-  SEQLOG_CHECK(machine.ok()) << machine.status().ToString();
-  return machine.value();
 }
 
 /// Every input over `alphabet` of length <= max_len, plus `extra` random
@@ -144,103 +81,7 @@ std::vector<std::vector<Symbol>> InputCorpus(
 }
 
 // ---------------------------------------------------------------------
-// Corpus 1: determinize vs the breadth-first reference.
-// ---------------------------------------------------------------------
-
-bool CheckDeterminizeSeed(uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  SymbolTable symbols;
-  SequencePool pool;
-  const size_t alpha_size = 2 + (rng() % 2);
-  std::vector<Symbol> alphabet;
-  for (size_t i = 0; i < alpha_size; ++i) {
-    alphabet.push_back(symbols.Intern(std::string(1, 'a' + char(i))));
-  }
-  const bool echo_only = rng() & 1;
-  auto machine = RandomMachine(&rng, alphabet, echo_only);
-
-  const size_t max_len = alpha_size == 2 ? 8 : 6;
-  std::vector<std::vector<Symbol>> inputs =
-      InputCorpus(alphabet, max_len, /*extra=*/5, &rng);
-
-  auto det = DeterminizeMachine(*machine, alphabet);
-  bool ok = true;
-  if (!det.ok()) {
-    // A refusal must carry a stable code and must be honest: echo-only
-    // machines are functional by construction, so only the state budget
-    // could refuse them — and these machines are far too small for that.
-    EXPECT_EQ(det.status().code(), StatusCode::kFailedPrecondition)
-        << "seed=" << seed;
-    const std::string& msg = det.status().message();
-    const bool coded = msg.find(kCodeNotFunctional) != std::string::npos ||
-                       msg.find(kCodeNotSequential) != std::string::npos ||
-                       msg.find(kCodeStateBudget) != std::string::npos;
-    EXPECT_TRUE(coded) << "uncoded refusal, seed=" << seed << ": " << msg;
-    if (echo_only) {
-      ADD_FAILURE() << "echo-only machine refused, seed=" << seed << ": "
-                    << msg;
-      ok = false;
-    }
-    if (!coded) ok = false;
-    if (!ok) LogFailingSeed(seed);
-    return ok;
-  }
-
-  for (const std::vector<Symbol>& input : inputs) {
-    const SeqId x = pool.Intern(SeqView(input.data(), input.size()));
-    auto ref = machine->RunAll(std::span<const SeqId>(&x, 1), &pool);
-    if (!ref.ok()) {
-      ADD_FAILURE() << "RunAll failed, seed=" << seed << ": "
-                    << ref.status().ToString();
-      LogFailingSeed(seed);
-      return false;
-    }
-    if (ref.value().size() > 1) {
-      ADD_FAILURE() << "determinizer accepted a machine with "
-                    << ref.value().size() << " outputs on one input, seed="
-                    << seed;
-      LogFailingSeed(seed);
-      return false;
-    }
-    std::vector<Symbol> got;
-    const bool defined = det.value()->Transduce(input, &got);
-    if (ref.value().empty()) {
-      if (defined) {
-        ADD_FAILURE() << "compiled machine defined where reference is "
-                         "undefined, seed=" << seed;
-        ok = false;
-      }
-    } else {
-      const SeqId want = ref.value()[0];
-      if (!defined) {
-        ADD_FAILURE() << "compiled machine undefined where reference "
-                         "yields output, seed=" << seed;
-        ok = false;
-      } else if (pool.Intern(SeqView(got.data(), got.size())) != want) {
-        ADD_FAILURE() << "output mismatch, seed=" << seed;
-        ok = false;
-      }
-    }
-    if (!ok) break;
-  }
-  if (!ok) LogFailingSeed(seed);
-  return ok;
-}
-
-TEST(TransducerDifferential, DeterminizedMachinesMatchBreadthFirst) {
-  size_t failures = 0;
-  for (size_t i = 0; i < g_iters; ++i) {
-    if (!CheckDeterminizeSeed(g_base_seed + i)) {
-      if (++failures >= 5) {
-        GTEST_FAIL() << "stopping after 5 failing seeds";
-        return;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Corpus 2: compiled networks vs interpreted runs vs composition.
+// Corpus 1: compiled networks vs interpreted runs vs composition.
 // ---------------------------------------------------------------------
 
 TransducerPtr RandomDeterministic(std::mt19937_64* rng,
@@ -274,25 +115,62 @@ TransducerPtr RandomDeterministic(std::mt19937_64* rng,
   }
 }
 
-bool CheckNetworkSeed(uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  SymbolTable symbols;
-  SequencePool pool;
-  std::vector<Symbol> alphabet;
-  for (size_t i = 0; i < 3; ++i) {
-    alphabet.push_back(symbols.Intern(std::string(1, 'a' + char(i))));
+/// A random partial deterministic machine with 1-6 states: each
+/// (state, symbol) gets an exact row with probability 3/4, emitting
+/// nothing, a random symbol or an echo, and a state sometimes ends with
+/// an Any row that the exact rows above it shadow (first match wins).
+TransducerPtr RandomStateful(std::mt19937_64* rng,
+                             const std::vector<Symbol>& alphabet,
+                             const std::string& name) {
+  std::uniform_int_distribution<size_t> state_count(1, 6);
+  const size_t n = state_count(*rng);
+  TransducerBuilder builder(name, 1);
+  std::vector<StateId> states;
+  for (size_t i = 0; i < n; ++i) {
+    std::string state = "q";
+    state += std::to_string(i);
+    states.push_back(builder.State(state));
   }
-  TransducerPtr first = RandomDeterministic(&rng, alphabet, "first");
-  TransducerPtr second = RandomDeterministic(&rng, alphabet, "second");
+  std::uniform_int_distribution<size_t> state_pick(0, n - 1);
+  std::uniform_int_distribution<size_t> sym_pick(0, alphabet.size() - 1);
+  auto random_output = [&]() {
+    switch ((*rng)() % 3) {
+      case 0:
+        return Output::Epsilon();
+      case 1:
+        return Output::Emit(alphabet[sym_pick(*rng)]);
+      default:
+        return Output::Echo(0);
+    }
+  };
+  for (size_t s = 0; s < n; ++s) {
+    for (Symbol sym : alphabet) {
+      if ((*rng)() % 4 == 0) continue;
+      builder.Add(states[s], {SymPattern::Exact(sym)},
+                  states[state_pick(*rng)], {HeadMove::kAdvance},
+                  random_output());
+    }
+    if ((*rng)() % 4 == 0) {
+      builder.Add(states[s], {SymPattern::Any()}, states[state_pick(*rng)],
+                  {HeadMove::kAdvance}, random_output());
+    }
+  }
+  auto machine = builder.Build();
+  SEQLOG_CHECK(machine.ok()) << machine.status().ToString();
+  return machine.value();
+}
 
+/// Compiles the network first -> second over `alphabet` and checks it on
+/// `inputs` against the interpreted run and against manual composition.
+bool CheckNetwork(uint64_t seed, const char* shape, TransducerPtr first,
+                  TransducerPtr second, const std::vector<Symbol>& alphabet,
+                  const std::vector<std::vector<Symbol>>& inputs) {
+  SequencePool pool;
   TransducerNetwork net("pipe", 1);
   auto n0 = net.AddNode(first, {InputSource::FromNetwork(0)});
   auto n1 = net.AddNode(second, {InputSource::FromNode(n0.value())});
   SEQLOG_CHECK(n0.ok() && n1.ok());
   SEQLOG_CHECK(net.SetOutput(n1.value()).ok());
-
-  std::vector<std::vector<Symbol>> inputs =
-      InputCorpus(alphabet, /*max_len=*/4, /*extra=*/8, &rng);
 
   // Interpreted results first, then compile and replay.
   std::vector<Result<SeqId>> interpreted;
@@ -304,12 +182,10 @@ bool CheckNetworkSeed(uint64_t seed) {
   Status cs = net.Compile(alphabet);
   if (!cs.ok()) {
     ADD_FAILURE() << "Compile failed (it must fall back, not fail), seed="
-                  << seed << ": " << cs.ToString();
-    LogFailingSeed(seed);
+                  << seed << " shape=" << shape << ": " << cs.ToString();
     return false;
   }
 
-  bool ok = true;
   for (size_t i = 0; i < inputs.size(); ++i) {
     const std::vector<Symbol>& input = inputs[i];
     const SeqId x = pool.Intern(SeqView(input.data(), input.size()));
@@ -324,19 +200,45 @@ bool CheckNetworkSeed(uint64_t seed) {
     const bool want_defined = interpreted[i].ok();
     if (compiled.ok() != want_defined || composed.ok() != want_defined) {
       ADD_FAILURE() << "definedness mismatch, seed=" << seed
-                    << " input#" << i << " interpreted=" << want_defined
+                    << " shape=" << shape << " input#" << i
+                    << " interpreted=" << want_defined
                     << " compiled=" << compiled.ok()
                     << " composed=" << composed.ok();
-      ok = false;
-      break;
+      return false;
     }
     if (want_defined && (compiled.value() != interpreted[i].value() ||
                          composed.value() != interpreted[i].value())) {
-      ADD_FAILURE() << "output mismatch, seed=" << seed << " input#" << i;
-      ok = false;
-      break;
+      ADD_FAILURE() << "output mismatch, seed=" << seed << " shape="
+                    << shape << " input#" << i;
+      return false;
     }
   }
+  return true;
+}
+
+bool CheckNetworkSeed(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  SymbolTable symbols;
+  std::vector<Symbol> alphabet;
+  for (size_t i = 0; i < 3; ++i) {
+    alphabet.push_back(symbols.Intern(std::string(1, 'a' + char(i))));
+  }
+  TransducerPtr first = RandomDeterministic(&rng, alphabet, "first");
+  TransducerPtr second = RandomDeterministic(&rng, alphabet, "second");
+  bool ok = CheckNetwork(seed, "library", first, second, alphabet,
+                         InputCorpus(alphabet, /*max_len=*/4, /*extra=*/8,
+                                     &rng));
+
+  // Multi-state machines draw from a stream of their own, so the
+  // library-shaped network above is generated as before.
+  std::mt19937_64 stateful_rng(seed ^ 0x5757575757575757u);
+  TransducerPtr s_first = RandomStateful(&stateful_rng, alphabet, "first");
+  TransducerPtr s_second =
+      RandomStateful(&stateful_rng, alphabet, "second");
+  ok = CheckNetwork(seed, "stateful", s_first, s_second, alphabet,
+                    InputCorpus(alphabet, /*max_len=*/5, /*extra=*/16,
+                                &stateful_rng)) &&
+       ok;
   if (!ok) LogFailingSeed(seed);
   return ok;
 }
@@ -354,7 +256,7 @@ TEST(TransducerDifferential, CompiledNetworksMatchInterpretedRuns) {
 }
 
 // ---------------------------------------------------------------------
-// Corpus 3 (prefix): compiled networks inside the engine, against the
+// Corpus 2 (prefix): compiled networks inside the engine, against the
 // same network interpreted.
 // ---------------------------------------------------------------------
 
